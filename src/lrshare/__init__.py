@@ -20,6 +20,7 @@ from .errors import (
     IntegrityError,
     PlacementError,
     SharingError,
+    StateFileError,
 )
 from .field import DEFAULT_MODULUS, PrimeField, is_probable_prime, trim_poly
 from .groups import (

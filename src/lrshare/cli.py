@@ -15,7 +15,12 @@ import re
 import sys
 
 from . import protocol, threat
-from .errors import ConfigurationError, EnumerationLimitError, SharingError
+from .errors import (
+    ConfigurationError,
+    EnumerationLimitError,
+    SharingError,
+    StateFileError,
+)
 from .field import DEFAULT_MODULUS
 
 EXIT_OK = 0
@@ -289,7 +294,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, EnumerationLimitError) as exc:
         print(f"{error_name(exc)}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, StateFileError) as exc:
         print(f"io-error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SharingError as exc:

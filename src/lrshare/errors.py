@@ -2,7 +2,8 @@
 
 All package errors derive from SharingError so callers can catch broadly;
 the CLI maps subclasses onto its exit-code contract (configuration errors
-exit 2, everything else protocol/math exits 4, plain OSError exits 3).
+exit 2, unreadable state files and plain OSError exit 3, everything else
+protocol/math exits 4).
 """
 
 
@@ -16,6 +17,10 @@ class DomainError(SharingError, ValueError):
 
 class ConfigurationError(DomainError):
     """Invalid system parameters (thresholds, group counts, divisibility)."""
+
+
+class StateFileError(SharingError):
+    """A state file is not valid JSON or lacks a required entry."""
 
 
 class InsufficientSharesError(SharingError):

@@ -13,6 +13,8 @@ feasible.
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 
 from .errors import DomainError
@@ -123,11 +125,37 @@ class PrimeField:
             acc = (acc * x + c) % self.modulus
         return acc
 
+    def barycentric_weights(self, xs: list[int]) -> list[int]:
+        """Barycentric weights w_i = 1 / prod_{j != i} (x_i - x_j).
+
+        O(d^2) products and one call to inv: the d denominators are
+        inverted together by prefix products (Montgomery's trick).  The
+        x values must be distinct integers; two that agree modulo p make
+        a zero denominator, and inv raises DomainError.
+        """
+        p = self.modulus
+        dens = [math.prod(xi - xj for xj in xs if xj != xi) % p for xi in xs]
+        prefix = []
+        acc = 1
+        for den in dens:
+            prefix.append(acc)
+            acc = acc * den % p
+        inv = self.inv(acc)
+        weights = [0] * len(dens)
+        for i in reversed(range(len(dens))):
+            weights[i] = inv * prefix[i] % p
+            inv = inv * dens[i] % p
+        return weights
+
     def poly_interpolate(self, points: list[tuple[int, int]]) -> list[int]:
         """Unique polynomial of degree <= len(points)-1 through all points.
 
-        Lagrange basis accumulation, O(d^2) per basis polynomial.  Returns
-        the trimmed coefficient list.
+        Barycentric Lagrange interpolation in O(d^2) total: the master
+        product M(x) = prod_j (x - x_j) is built once, and each point adds
+        M(x) / (x - x_i), found by synthetic division, scaled by y_i times
+        its barycentric weight.  The divisions run for all points at once,
+        one coefficient at a time from the top.  Returns the trimmed
+        coefficient list.
 
         Raises DomainError for an empty point list or duplicate x values.
         """
@@ -137,23 +165,20 @@ class PrimeField:
         xs = [x % p for x, _ in points]
         if len(set(xs)) != len(xs):
             raise DomainError("interpolation points must have distinct x values")
-        result = [0] * len(points)
-        for i, (xi, yi) in enumerate(points):
-            xi %= p
-            # basis := prod_{j != i} (x - x_j), built one factor at a time
-            basis = [1]
-            denom = 1
-            for j, xj in enumerate(xs):
-                if j == i:
-                    continue
-                shifted = [0] + basis
-                for t in range(len(basis)):
-                    shifted[t] = (shifted[t] - basis[t] * xj) % p
-                basis = shifted
-                denom = denom * (xi - xj) % p
-            scale = yi % p * self.inv(denom) % p
-            for t, c in enumerate(basis):
-                result[t] = (result[t] + c * scale) % p
+        master = [1]
+        for xj in xs:
+            # (x - x_j) * M: shift up one degree, subtract x_j * M
+            master = [(lo - xj * hi) % p for lo, hi in zip([0] + master, master + [0])]
+        weights = self.barycentric_weights(xs)
+        scales = [y % p * w % p for (_, y), w in zip(points, weights)]
+        # quotients[i] walks down the coefficients of M(x) / (x - x_i),
+        # starting from the leading 1 of the monic master.
+        quotients = [1] * len(xs)
+        result = [0] * len(xs)
+        for t in reversed(range(len(xs))):
+            result[t] = sum(map(operator.mul, scales, quotients)) % p
+            mt = master[t]
+            quotients = [(mt + xi * q) % p for xi, q in zip(xs, quotients)]
         return trim_poly(result)
 
     def poly_random(

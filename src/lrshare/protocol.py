@@ -37,6 +37,8 @@ from .errors import (
     InsufficientPointsError,
     IntegrityError,
     PlacementError,
+    SharingError,
+    StateFileError,
 )
 from .field import DEFAULT_MODULUS, PrimeField
 from .groups import GroupSpec, WeakRedundancy
@@ -657,60 +659,81 @@ def save_state(state: SystemState, directory: str | Path):
         path.write_text(_dump(node_store_dict(state.nodes[node_id])))
 
 
+def _share(raw: dict) -> Share:
+    return Share(int(raw["x"]), int(raw["y"]))
+
+
 def load_state(directory: str | Path) -> SystemState:
-    """Rebuild a SystemState from a directory written by save_state."""
+    """Rebuild a SystemState from a directory written by save_state.
+
+    A file that is not valid JSON or lacks an entry raises StateFileError;
+    a stored share value outside [0, p) raises DomainError.  Both name the
+    file.
+    """
     root = Path(directory)
-    registry = json.loads((root / REGISTRY_FILE).read_text())
-    field = PrimeField(registry["modulus"])
-    n = registry["n"]
-    width = len(str(n))
+    path = root / REGISTRY_FILE  # the file being parsed, for error messages
+    try:
+        registry = json.loads(path.read_text())
+        field = PrimeField(registry["modulus"])
+        k, n, m = registry["k"], registry["n"], registry["m"]
+        placement_mode = registry.get("placement_mode", PLACEMENT_RANDOM)
 
-    participants = {}
-    hw_ids = {}
-    for entry in registry["participants"]:
-        participants[entry["id"]] = int(entry["x"])
-        hw_ids[entry["id"]] = int(entry["hw_id"], 16)
+        participants = {}
+        hw_ids = {}
+        for entry in registry["participants"]:
+            participants[entry["id"]] = int(entry["x"])
+            hw_ids[entry["id"]] = int(entry["hw_id"], 16)
 
-    group_records = {}
-    group_of = {}
-    for entry in registry["groups"]:
-        spec = GroupSpec(group_id=entry["id"], member_ids=tuple(entry["members"]))
-        for member in spec.member_ids:
-            group_of[member] = spec.group_id
-        x_lambda = None if entry["x_lambda"] is None else int(entry["x_lambda"])
-        group_records[spec.group_id] = GroupRecord(
-            spec, x_lambda, tuple(int(x) for x in entry["sss_x"]), entry["digest_hex"]
-        )
+        group_records = {}
+        group_of = {}
+        for entry in registry["groups"]:
+            spec = GroupSpec(group_id=entry["id"], member_ids=tuple(entry["members"]))
+            for member in spec.member_ids:
+                group_of[member] = spec.group_id
+            x_lambda = None if entry["x_lambda"] is None else int(entry["x_lambda"])
+            group_records[spec.group_id] = GroupRecord(
+                spec, x_lambda, tuple(int(x) for x in entry["sss_x"]), entry["digest_hex"]
+            )
 
-    nodes = {}
-    for node_id in sorted(participants):
-        raw = json.loads(
-            (root / NODE_DIR / f"node_{node_id:0{width}d}.json").read_text()
-        )
-        primary = (
-            None
-            if raw["y"] is None
-            else Share(participants[node_id], int(raw["y"]))
-        )
-        sub = raw["sss_subshare"]
-        subshare = None if sub is None else Share(int(sub["x"]), int(sub["y"]))
-        hosted = [
-            (h["digest_hex"], Share(int(h["subshare"]["x"]), int(h["subshare"]["y"])))
-            for h in raw["hosted"]
-        ]
-        nodes[node_id] = NodeStore(
-            identity=NodeIdentity(node_id, hw_ids[node_id]),
-            primary=primary,
-            subshare=subshare,
-            hosted=hosted,
-        )
+        p = field.modulus
+        width = len(str(n))
+        nodes = {}
+        for node_id in sorted(participants):
+            path = root / NODE_DIR / f"node_{node_id:0{width}d}.json"
+            raw = json.loads(path.read_text())
+            primary = (
+                None
+                if raw["y"] is None
+                else Share(participants[node_id], int(raw["y"]))
+            )
+            sub = raw["sss_subshare"]
+            subshare = None if sub is None else _share(sub)
+            hosted = [(h["digest_hex"], _share(h["subshare"])) for h in raw["hosted"]]
+            for share in (primary, subshare):
+                if share is not None and not 0 <= share.y < p:
+                    raise DomainError(f"{path}: y={share.y} outside [0, {p})")
+            for _, share in hosted:
+                if not 0 <= share.y < p:
+                    raise DomainError(f"{path}: hosted y={share.y} outside [0, {p})")
+            nodes[node_id] = NodeStore(
+                identity=NodeIdentity(node_id, hw_ids[node_id]),
+                primary=primary,
+                subshare=subshare,
+                hosted=hosted,
+            )
+    except SharingError:
+        # DomainError is a ValueError too; it must keep its own exit code
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
+        raise StateFileError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
     return SystemState(
         field=field,
-        k=registry["k"],
+        k=k,
         n=n,
-        m=registry["m"],
-        placement_mode=registry.get("placement_mode", PLACEMENT_RANDOM),
+        m=m,
+        placement_mode=placement_mode,
         participants=participants,
         groups=group_records,
         nodes=nodes,

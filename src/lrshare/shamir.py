@@ -19,12 +19,6 @@ from .errors import (
 )
 from .field import PrimeField
 
-# Lagrange-at-zero weight vectors keyed by (modulus, x tuple).  Recoveries
-# repeat the same x subsets heavily (subset sweeps, repeated repairs), and
-# the weights depend only on the x coordinates.
-_zero_weights: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-
-
 @dataclass(frozen=True, order=True)
 class Share:
     """One share: public abscissa x (nonzero), private value y."""
@@ -95,23 +89,23 @@ def _checked_sorted(shares: list[Share]) -> list[Share]:
     return ordered
 
 
-def _lagrange_zero_weights(field: PrimeField, xs: tuple[int, ...]) -> tuple[int, ...]:
-    key = (field.modulus, xs)
-    weights = _zero_weights.get(key)
-    if weights is None:
-        p = field.modulus
-        computed = []
-        for i, xi in enumerate(xs):
-            num, den = 1, 1
-            for j, xj in enumerate(xs):
-                if j == i:
-                    continue
-                num = num * -xj % p
-                den = den * (xi - xj) % p
-            computed.append(num * field.inv(den) % p)
-        weights = tuple(computed)
-        _zero_weights[key] = weights
-    return weights
+def _lagrange_zero_weights(field: PrimeField, xs: list[int]) -> list[int]:
+    """Lagrange basis values at zero, L_i(0) = w_i * prod_{j != i} (-x_j).
+
+    w_i are the barycentric weights; the products over j != i come from
+    prefix and suffix products in O(k).
+    """
+    p = field.modulus
+    weights = field.barycentric_weights(xs)
+    suffix = [1] * (len(xs) + 1)
+    for i in reversed(range(len(xs))):
+        suffix[i] = suffix[i + 1] * -xs[i] % p
+    result = []
+    prefix = 1
+    for xi, w, after in zip(xs, weights, suffix[1:]):
+        result.append(w * prefix % p * after % p)
+        prefix = prefix * -xi % p
+    return result
 
 
 def recover(field: PrimeField, shares: list[Share], k: int) -> int:
@@ -120,7 +114,9 @@ def recover(field: PrimeField, shares: list[Share], k: int) -> int:
     Uses the k shares that come first in x order; any surplus shares are
     cross-checked against the polynomial those k define and a mismatch
     raises CorruptShareError.  The result equals evaluating
-    poly_interpolate over the first k shares at zero.
+    poly_interpolate over the first k shares at zero: with exactly k
+    shares it is summed from the Lagrange weights at zero, with surplus
+    shares it is the constant term of the interpolated polynomial.
     """
     if len(shares) < k:
         raise InsufficientSharesError(
@@ -128,19 +124,16 @@ def recover(field: PrimeField, shares: list[Share], k: int) -> int:
         )
     ordered = _checked_sorted(shares)
     first = ordered[:k]
-    weights = _lagrange_zero_weights(field, tuple(s.x for s in first))
-    p = field.modulus
-    secret = 0
-    for share, w in zip(first, weights):
-        secret = (secret + share.y * w) % p
-    if len(ordered) > k:
-        poly = field.poly_interpolate([(s.x, s.y) for s in first])
-        for extra in ordered[k:]:
-            if field.poly_eval(poly, extra.x) != extra.y:
-                raise CorruptShareError(
-                    f"share at x={extra.x} is inconsistent with the first {k}"
-                )
-    return secret
+    if len(ordered) == k:
+        weights = _lagrange_zero_weights(field, [s.x for s in first])
+        return sum(s.y * w for s, w in zip(first, weights)) % field.modulus
+    poly = field.poly_interpolate([(s.x, s.y) for s in first])
+    for extra in ordered[k:]:
+        if field.poly_eval(poly, extra.x) != extra.y:
+            raise CorruptShareError(
+                f"share at x={extra.x} is inconsistent with the first {k}"
+            )
+    return poly[0]
 
 
 def reconstruct_polynomial(field: PrimeField, shares: list[Share], k: int) -> list[int]:

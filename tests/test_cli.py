@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lrshare.cli import main
+from lrshare.field import DEFAULT_MODULUS as P
 
 TOY_FLAGS = ["--k", "8", "--n", "12", "--m", "3", "--secret", "42", "--seed", "7"]
 
@@ -123,6 +124,84 @@ class TestFailAndRecover:
         )
         assert code == 3
         assert "io-error" in err
+
+
+ALL_NODES = [str(i) for i in range(1, 13)]
+
+
+def edit_node(state_dir, node_id, change):
+    path = state_dir / "nodes" / f"node_{node_id:02d}.json"
+    raw = json.loads(path.read_text())
+    change(raw)
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def hosting_node(state_dir):
+    for path in sorted((state_dir / "nodes").iterdir()):
+        raw = json.loads(path.read_text())
+        if raw["hosted"]:
+            return raw["id"]
+    raise AssertionError("no node hosts a foreign sub-share")
+
+
+class TestCorruptState:
+    """Bad state exits 3 (unreadable) or 4 (out of range), never 0 or a traceback."""
+
+    def recover_all(self, capsys, state_dir):
+        return run(capsys, "recover", "--participants", *ALL_NODES, state_dir=state_dir)
+
+    def assert_out_of_range(self, capsys, state_dir, path):
+        code, out, _ = self.recover_all(capsys, state_dir)
+        assert code == 4
+        assert out.startswith("domain:")
+        assert path.name in out
+
+    def test_primary_y_above_modulus_exits_four(self, state_dir, capsys):
+        path = edit_node(state_dir, 2, lambda raw: raw.update(y=str(int(raw["y"]) + P + 7)))
+        self.assert_out_of_range(capsys, state_dir, path)
+
+    def test_negative_primary_y_exits_four(self, state_dir, capsys):
+        path = edit_node(state_dir, 2, lambda raw: raw.update(y="-5"))
+        self.assert_out_of_range(capsys, state_dir, path)
+
+    def test_own_subshare_y_out_of_range_exits_four(self, state_dir, capsys):
+        path = edit_node(
+            state_dir, 2, lambda raw: raw["sss_subshare"].update(y=str(P))
+        )
+        self.assert_out_of_range(capsys, state_dir, path)
+
+    def test_hosted_subshare_y_out_of_range_exits_four(self, state_dir, capsys):
+        holder = hosting_node(state_dir)
+        path = edit_node(
+            state_dir, holder, lambda raw: raw["hosted"][0]["subshare"].update(y="-1")
+        )
+        self.assert_out_of_range(capsys, state_dir, path)
+
+    def test_truncated_node_file_exits_three(self, state_dir, capsys):
+        path = state_dir / "nodes" / "node_02.json"
+        path.write_text('{"id": 2, "y": ')
+        code, out, err = self.recover_all(capsys, state_dir)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert "node_02.json" in err
+
+    def test_truncated_registry_exits_three(self, state_dir, capsys):
+        path = state_dir / "registry.json"
+        path.write_text(path.read_text()[:100])
+        code, _, err = self.recover_all(capsys, state_dir)
+        assert code == 3
+        assert err.startswith("io-error:")
+        assert "registry.json" in err
+
+    def test_missing_key_exits_three(self, state_dir, capsys):
+        edit_node(state_dir, 5, lambda raw: raw.pop("sss_subshare"))
+        code, _, err = run(capsys, "fail", "--node", "1", state_dir=state_dir)
+        assert code == 3
+        assert err.startswith("io-error:")
+        assert "node_05.json" in err
+        assert "sss_subshare" in err
 
 
 class TestRepair:

@@ -3,9 +3,61 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lrshare.errors import DomainError
 from lrshare.field import DEFAULT_MODULUS, PrimeField, is_probable_prime, trim_poly
+
+# GF(13), the production Mersenne prime, and the 61-bit Mersenne prime.
+REFERENCE_PRIMES = (13, 2**31 - 1, 2**61 - 1)
+MAX_POINTS = 130
+
+
+def reference_interpolate(field, points):
+    """Textbook Lagrange interpolation, O(d^3): each basis polynomial
+    prod_{j != i} (x - x_j) / (x_i - x_j) is built one factor at a time.
+    The cross-check reference for PrimeField.poly_interpolate.
+    """
+    p = field.modulus
+    xs = [x % p for x, _ in points]
+    result = [0] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        xi %= p
+        basis = [1]
+        denom = 1
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            shifted = [0] + basis
+            for t in range(len(basis)):
+                shifted[t] = (shifted[t] - basis[t] * xj) % p
+            basis = shifted
+            denom = denom * (xi - xj) % p
+        scale = yi % p * field.inv(denom) % p
+        for t, c in enumerate(basis):
+            result[t] = (result[t] + c * scale) % p
+    return trim_poly(result)
+
+
+@st.composite
+def point_sets(draw):
+    """(prime, points): 1..MAX_POINTS points with distinct x in GF(prime)."""
+    p = draw(st.sampled_from(REFERENCE_PRIMES))
+    size = draw(st.integers(1, min(MAX_POINTS, p)))
+    if p <= MAX_POINTS:
+        xs = draw(st.permutations(range(p)))[:size]
+    else:
+        xs = draw(
+            st.lists(st.integers(0, p - 1), min_size=size, max_size=size, unique=True)
+        )
+    ys = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    return p, list(zip(xs, ys))
+
+
+def _largest_point_set(p):
+    rng = random.Random(p)
+    return p, [(x, rng.randrange(p)) for x in rng.sample(range(p), MAX_POINTS)]
 
 
 class TestPrimality:
@@ -118,6 +170,27 @@ class TestInterpolate:
             xs = rng.sample(range(13), len(poly))
             points = [(x, gf13.poly_eval(poly, x)) for x in xs]
             assert gf13.poly_interpolate(points) == poly
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(point_sets())
+    @example(_largest_point_set(2**31 - 1))
+    @example(_largest_point_set(2**61 - 1))
+    def test_matches_cubic_reference(self, case):
+        p, points = case
+        field = PrimeField(p)
+        assert field.poly_interpolate(points) == reference_interpolate(field, points)
+
+    def test_one_inversion_per_interpolation(self, big_field, rng, monkeypatch):
+        calls = []
+        inv = PrimeField.inv
+
+        def counted(self, a):
+            calls.append(a)
+            return inv(self, a)
+
+        monkeypatch.setattr(PrimeField, "inv", counted)
+        big_field.poly_interpolate([(x, x) for x in rng.sample(range(1, 1000), 64)])
+        assert len(calls) == 1
 
 
 class TestPolyRandom:

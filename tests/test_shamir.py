@@ -111,6 +111,22 @@ class TestRecover:
         with pytest.raises(CorruptShareError):
             recover(gf13, shares, 2)
 
+    def test_k128_with_sixteen_surplus_shares(self, big_field):
+        """The size the surplus cross-check runs at in a k=128 deployment."""
+        rng = random.Random(128)
+        params = SharingParams.with_default_assignment(128, 256)
+        secret = rng.randrange(big_field.modulus)
+        shares = split(big_field, secret, params, rng)
+        subset = rng.sample(shares, 128 + 16)
+        assert recover(big_field, subset, 128) == secret
+        assert recover(big_field, subset[:128], 128) == secret
+        # the 16 shares with the largest x are the surplus ones
+        surplus = max(subset)
+        altered = Share(surplus.x, (surplus.y + 1) % big_field.modulus)
+        tampered = [altered if s == surplus else s for s in subset]
+        with pytest.raises(CorruptShareError):
+            recover(big_field, tampered, 128)
+
 
 class TestReconstructPolynomial:
     def test_line(self, gf13):
