@@ -25,7 +25,6 @@ from .errors import (
 from .field import DEFAULT_MODULUS, PrimeField, is_probable_prime, trim_poly
 from .groups import (
     GroupSpec,
-    GroupState,
     StrongRedundancy,
     WeakRedundancy,
     build_repair_function,
@@ -44,7 +43,6 @@ from .protocol import (
     load_state,
     lookup_holder,
     mark_failed,
-    place_external,
     recover_secret,
     request_repair,
     save_state,

@@ -60,7 +60,6 @@ def cmd_setup(args) -> int:
         seed=args.seed,
         modulus=args.modulus,
         placement=args.placement,
-        anti_reciprocal=args.anti_reciprocal,
     )
     directory = _state_dir(args)
     protocol.save_state(state, directory)
@@ -249,11 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=protocol.PLACEMENT_MODES,
         default=protocol.PLACEMENT_RANDOM,
         help="external sub-share placement policy",
-    )
-    p_setup.add_argument(
-        "--anti-reciprocal",
-        action="store_true",
-        help="forbid pairs of groups hosting each other's redundancy",
     )
     p_setup.set_defaults(func=cmd_setup)
 

@@ -20,7 +20,8 @@ class ConfigurationError(DomainError):
 
 
 class StateFileError(SharingError):
-    """A state file is not valid JSON or lacks a required entry."""
+    """A state file is not valid JSON, lacks a required entry, or holds a
+    value outside its fixed set (such as an unknown placement mode)."""
 
 
 class InsufficientSharesError(SharingError):

@@ -90,30 +90,12 @@ class PrimeField:
 
     # -- element arithmetic -------------------------------------------------
 
-    def reduce(self, a: int) -> int:
-        return a % self.modulus
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.modulus
-
-    def neg(self, a: int) -> int:
-        return -a % self.modulus
-
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat's little theorem."""
+        """Multiplicative inverse (built-in modular pow with exponent -1)."""
         a %= self.modulus
         if a == 0:
             raise DomainError("zero has no multiplicative inverse")
-        return pow(a, self.modulus - 2, self.modulus)
-
-    def rand_element(self, rng: random.Random) -> int:
-        return rng.randrange(self.modulus)
+        return pow(a, -1, self.modulus)
 
     # -- polynomials ---------------------------------------------------------
 

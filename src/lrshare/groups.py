@@ -47,10 +47,6 @@ class StrongRedundancy:
 
     coefficients: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
 
 @dataclass(frozen=True)
 class WeakRedundancy:
@@ -58,29 +54,6 @@ class WeakRedundancy:
 
     x: int
     y: int
-
-
-@dataclass
-class GroupState:
-    """Everything one group carries: spec, public x of the weak redundancy,
-    the sub-shares of its second sharing, and (once the protocol assigns
-    one) the group's hash identity.  The repairing polynomial itself is
-    never stored; it is implicit in the member shares plus the weak point.
-    """
-
-    spec: GroupSpec
-    x_lambda: int
-    sss_shares: tuple[Share, ...]
-    sss_threshold: int
-    digest_hex: str | None = None
-
-    @property
-    def member_subshares(self) -> tuple[Share, ...]:
-        return self.sss_shares[:-1]
-
-    @property
-    def external_subshare(self) -> Share:
-        return self.sss_shares[-1]
 
 
 def partition(n: int, m: int) -> list[GroupSpec]:

@@ -194,15 +194,6 @@ def hash_identity(hw_ids: Iterable[int]) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _holder_of(state: SystemState, group_id: int) -> int | None:
-    digest = state.groups[group_id].digest_hex
-    for node_id in sorted(state.nodes):
-        for hosted_digest, _ in state.nodes[node_id].hosted:
-            if hosted_digest == digest:
-                return node_id
-    return None
-
-
 def _pick_holder(
     state: SystemState,
     group_id: int,
@@ -229,31 +220,6 @@ def _pick_holder(
     return candidates[rng.randrange(len(candidates))]
 
 
-def place_external(
-    state: SystemState,
-    group_id: int,
-    subshare: Share,
-    rng: random.Random,
-    anti_reciprocal: bool = False,
-) -> int:
-    """Place a group's external sub-share on a random node outside the group.
-
-    The holder records (digest, sub-share) and nothing else; the group
-    records nothing at all about the holder.  With anti_reciprocal set,
-    any choice that would create a pair of groups hosting each other's
-    redundancy is excluded before drawing.
-    """
-    placed = {}
-    for other_id in state.groups:
-        holder = _holder_of(state, other_id)
-        if holder is not None:
-            placed[other_id] = holder
-    group = state.groups[group_id]
-    holder_id = _pick_holder(state, group_id, rng, placed, anti_reciprocal)
-    state.nodes[holder_id].hosted.append((group.digest_hex, subshare))
-    return holder_id
-
-
 _PLACEMENT_ATTEMPTS = 100
 
 
@@ -261,19 +227,28 @@ def _place_all(
     state: SystemState,
     external: dict[int, Share],
     rng: random.Random,
-    anti_reciprocal: bool,
+    placement: str,
 ):
     """Assign every group's external sub-share in one placement round.
+
+    Under 'reciprocal' the round starts from a pre-staged pair: group 1's
+    sub-share on a member of group 2 and group 2's on a member of group 1,
+    drawn first; the other groups are placed as under 'random'.
 
     A sequential anti-reciprocal round can dead-end (earlier groups may bar
     every candidate of a later one), so the round is staged and redrawn
     until consistent; the rng stream continues across attempts, keeping the
     result a pure function of the seed.
     """
+    anti_reciprocal = placement == PLACEMENT_ANTI_RECIPROCAL
     for _ in range(_PLACEMENT_ATTEMPTS):
         staged: dict[int, int] = {}
+        if placement == PLACEMENT_RECIPROCAL:
+            for group_id, other_id in ((1, 2), (2, 1)):
+                others = state.groups[other_id].spec.member_ids
+                staged[group_id] = others[rng.randrange(len(others))]
         try:
-            for group_id in sorted(state.groups):
+            for group_id in sorted(state.groups.keys() - staged.keys()):
                 staged[group_id] = _pick_holder(
                     state, group_id, rng, staged, anti_reciprocal
                 )
@@ -300,7 +275,6 @@ def system_setup(
     *,
     modulus: int = DEFAULT_MODULUS,
     placement: str = PLACEMENT_RANDOM,
-    anti_reciprocal: bool = False,
 ) -> SystemState:
     """Build a complete system: global split, per-group redundancy, placement.
 
@@ -314,12 +288,6 @@ def system_setup(
     'reciprocal' forces groups 1 and 2 to host each other's sub-share, the
     worst-case fixture of the compromise analysis.  Deterministic per seed.
     """
-    if anti_reciprocal:
-        if placement not in (PLACEMENT_RANDOM, PLACEMENT_ANTI_RECIPROCAL):
-            raise ConfigurationError(
-                f"anti_reciprocal flag conflicts with placement={placement!r}"
-            )
-        placement = PLACEMENT_ANTI_RECIPROCAL
     if placement not in PLACEMENT_MODES:
         raise ConfigurationError(f"unknown placement mode {placement!r}")
     if seed is None:
@@ -399,29 +367,8 @@ def system_setup(
     )
 
     if placement != PLACEMENT_NONE:
-        place_rng = derive_rng(seed, "placement")
-        if placement == PLACEMENT_RECIPROCAL:
-            pair = (1, 2)
-            for group_id, other_id in (pair, pair[::-1]):
-                others = state.groups[other_id].spec.member_ids
-                holder_id = others[place_rng.randrange(len(others))]
-                nodes[holder_id].hosted.append(
-                    (group_records[group_id].digest_hex, external[group_id])
-                )
-            rest = {
-                g: sub for g, sub in external.items() if g not in pair
-            }
-            if rest:
-                _place_rest(state, rest, place_rng)
-        else:
-            anti = placement == PLACEMENT_ANTI_RECIPROCAL
-            _place_all(state, external, place_rng, anti_reciprocal=anti)
+        _place_all(state, external, derive_rng(seed, "placement"), placement)
     return state
-
-
-def _place_rest(state: SystemState, external: dict[int, Share], rng: random.Random):
-    for group_id in sorted(external):
-        place_external(state, group_id, external[group_id], rng)
 
 
 def mark_failed(state: SystemState, node_id: int):
@@ -666,9 +613,9 @@ def _share(raw: dict) -> Share:
 def load_state(directory: str | Path) -> SystemState:
     """Rebuild a SystemState from a directory written by save_state.
 
-    A file that is not valid JSON or lacks an entry raises StateFileError;
-    a stored share value outside [0, p) raises DomainError.  Both name the
-    file.
+    A file that is not valid JSON, lacks an entry or names an unknown
+    placement mode raises StateFileError; a stored share value outside
+    [0, p) raises DomainError.  Both name the file.
     """
     root = Path(directory)
     path = root / REGISTRY_FILE  # the file being parsed, for error messages
@@ -676,7 +623,9 @@ def load_state(directory: str | Path) -> SystemState:
         registry = json.loads(path.read_text())
         field = PrimeField(registry["modulus"])
         k, n, m = registry["k"], registry["n"], registry["m"]
-        placement_mode = registry.get("placement_mode", PLACEMENT_RANDOM)
+        placement_mode = registry["placement_mode"]
+        if placement_mode not in PLACEMENT_MODES:
+            raise StateFileError(f"{path}: unknown placement_mode {placement_mode!r}")
 
         participants = {}
         hw_ids = {}

