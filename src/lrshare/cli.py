@@ -98,7 +98,7 @@ def cmd_fail(args) -> int:
     directory = _state_dir(args)
     state = protocol.load_state(directory)
     protocol.mark_failed(state, args.node)
-    protocol.save_state(state, directory)
+    protocol.save_state(state, directory, [args.node])
     _emit(
         args,
         {"record": "fail", "node": args.node},
@@ -114,7 +114,7 @@ def cmd_repair(args) -> int:
     if proposer is None:
         raise ConfigurationError(f"unknown node {args.node}")
     repaired, restored, trace = protocol.request_repair(state, proposer, args.node)
-    protocol.save_state(state, directory)
+    protocol.save_state(state, directory, [args.node])
     record = {
         "record": "repair",
         "node": args.node,

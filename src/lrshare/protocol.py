@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -594,16 +595,42 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def save_state(state: SystemState, directory: str | Path):
-    """Write registry.json plus one store file per node."""
+def _node_path(node_dir: Path, node_id: int, n: int) -> Path:
+    return node_dir / f"node_{node_id:0{len(str(n))}d}.json"
+
+
+def save_state(
+    state: SystemState, directory: str | Path, node_ids: Iterable[int] | None = None
+):
+    """Write the state as registry.json plus one store file per node.
+
+    With node_ids omitted (setup) every node file is written in place and
+    registry.json last, after the stale one, if any, is removed: a save
+    cut short leaves no registry, so load_state refuses the directory.
+
+    With node_ids given only those nodes' files are written, and the
+    registry is not, since failing or repairing a node never changes it.
+    Each file goes to '<name>.json.tmp' in the same directory and is then
+    renamed over the old one with os.replace, so a process killed mid-save
+    leaves every file with either its old or its new bytes.  Nothing is
+    fsynced: the guarantee covers a crash of the process, not power loss.
+    """
     root = Path(directory)
     node_dir = root / NODE_DIR
+    if node_ids is not None:
+        for node_id in node_ids:
+            path = _node_path(node_dir, node_id, state.n)
+            tmp = path.with_name(path.name + ".tmp")
+            tmp.write_text(_dump(node_store_dict(state.nodes[node_id])))
+            os.replace(tmp, path)
+        return
     node_dir.mkdir(parents=True, exist_ok=True)
-    (root / REGISTRY_FILE).write_text(_dump(registry_dict(state)))
-    width = len(str(state.n))
+    registry = root / REGISTRY_FILE
+    registry.unlink(missing_ok=True)
     for node_id in sorted(state.nodes):
-        path = node_dir / f"node_{node_id:0{width}d}.json"
+        path = _node_path(node_dir, node_id, state.n)
         path.write_text(_dump(node_store_dict(state.nodes[node_id])))
+    registry.write_text(_dump(registry_dict(state)))
 
 
 def _share(raw: dict) -> Share:
@@ -613,9 +640,14 @@ def _share(raw: dict) -> Share:
 def load_state(directory: str | Path) -> SystemState:
     """Rebuild a SystemState from a directory written by save_state.
 
-    A file that is not valid JSON, lacks an entry or names an unknown
-    placement mode raises StateFileError; a stored share value outside
-    [0, p) raises DomainError.  Both name the file.
+    A file that is not valid JSON, lacks an entry, names an unknown
+    placement mode or disagrees with the registry raises StateFileError; a
+    stored share value outside [0, p) raises DomainError.  Both name the
+    file.  A node file agrees with the registry when its id is the node it
+    is loaded as, its own sub-share (held exactly while the node is alive
+    in a system with redundancy) sits at its x in its group's sss_x, and
+    every hosted digest names a group whose external point, the last
+    sss_x, is the hosted sub-share's x.
     """
     root = Path(directory)
     path = root / REGISTRY_FILE  # the file being parsed, for error messages
@@ -635,21 +667,29 @@ def load_state(directory: str | Path) -> SystemState:
 
         group_records = {}
         group_of = {}
+        own_sub_x = {}  # node id -> the x of its own sub-share
+        external_x = {}  # group digest -> the x of its external sub-share
         for entry in registry["groups"]:
             spec = GroupSpec(group_id=entry["id"], member_ids=tuple(entry["members"]))
+            sss_x = tuple(int(x) for x in entry["sss_x"])
+            own_sub_x.update(zip(spec.member_ids, sss_x))
             for member in spec.member_ids:
                 group_of[member] = spec.group_id
+            if sss_x:
+                external_x[entry["digest_hex"]] = sss_x[-1]
             x_lambda = None if entry["x_lambda"] is None else int(entry["x_lambda"])
             group_records[spec.group_id] = GroupRecord(
-                spec, x_lambda, tuple(int(x) for x in entry["sss_x"]), entry["digest_hex"]
+                spec, x_lambda, sss_x, entry["digest_hex"]
             )
 
         p = field.modulus
-        width = len(str(n))
+        node_dir = root / NODE_DIR
         nodes = {}
         for node_id in sorted(participants):
-            path = root / NODE_DIR / f"node_{node_id:0{width}d}.json"
+            path = _node_path(node_dir, node_id, n)
             raw = json.loads(path.read_text())
+            if raw["id"] != node_id:
+                raise StateFileError(f"{path}: id {raw['id']!r} is not node {node_id}")
             primary = (
                 None
                 if raw["y"] is None
@@ -658,10 +698,22 @@ def load_state(directory: str | Path) -> SystemState:
             sub = raw["sss_subshare"]
             subshare = None if sub is None else _share(sub)
             hosted = [(h["digest_hex"], _share(h["subshare"])) for h in raw["hosted"]]
+            sub_x = None if subshare is None else subshare.x
+            expected_x = None if primary is None else own_sub_x.get(node_id)
+            if sub_x != expected_x:
+                raise StateFileError(
+                    f"{path}: sss_subshare x={sub_x} disagrees with the registry "
+                    f"(expected {expected_x})"
+                )
             for share in (primary, subshare):
                 if share is not None and not 0 <= share.y < p:
                     raise DomainError(f"{path}: y={share.y} outside [0, {p})")
-            for _, share in hosted:
+            for digest, share in hosted:
+                if external_x.get(digest) != share.x:
+                    raise StateFileError(
+                        f"{path}: hosted sub-share x={share.x} under digest "
+                        f"{digest[:16]}... is no registry group's external point"
+                    )
                 if not 0 <= share.y < p:
                     raise DomainError(f"{path}: hosted y={share.y} outside [0, {p})")
             nodes[node_id] = NodeStore(

@@ -1,9 +1,11 @@
 """Command-line interface: flows, output formats, exit-code contract."""
 
 import json
+import os
 
 import pytest
 
+from lrshare import protocol
 from lrshare.cli import main
 from lrshare.field import DEFAULT_MODULUS as P
 
@@ -210,6 +212,38 @@ class TestCorruptState:
         assert "node_05.json" in err
         assert "sss_subshare" in err
 
+    def test_subshare_x_off_registry_exits_three(self, state_dir, capsys):
+        # a peer's sub-share moved to x=9 would make the repair write a wrong share
+        assert run(capsys, "fail", "--node", "1", state_dir=state_dir)[0] == 0
+        before = (state_dir / "nodes" / "node_01.json").read_bytes()
+        edit_node(state_dir, 2, lambda raw: raw["sss_subshare"].update(x="9"))
+        code, out, err = run(capsys, "repair", "--node", "1", state_dir=state_dir)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert "node_02.json" in err
+        assert (state_dir / "nodes" / "node_01.json").read_bytes() == before
+        assert self.recover_all(capsys, state_dir)[0] == 3
+
+    def test_unknown_hosted_digest_exits_three(self, state_dir, capsys):
+        holder = hosting_node(state_dir)
+        path = edit_node(
+            state_dir, holder, lambda raw: raw["hosted"][0].update(digest_hex="f" * 64)
+        )
+        code, out, err = run(capsys, "attack", "--mode", "enum", state_dir=state_dir)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert path.name in err
+
+    def test_node_file_of_another_node_exits_three(self, state_dir, capsys):
+        nodes = state_dir / "nodes"
+        (nodes / "node_04.json").write_bytes((nodes / "node_03.json").read_bytes())
+        code, _, err = self.recover_all(capsys, state_dir)
+        assert code == 3
+        assert err.startswith("io-error:")
+        assert "node_04.json" in err
+
     def test_missing_placement_mode_exits_three(self, state_dir, capsys):
         edit_registry(state_dir, lambda raw: raw.pop("placement_mode"))
         code, _, err = self.recover_all(capsys, state_dir)
@@ -226,6 +260,92 @@ class TestCorruptState:
         assert err.startswith("io-error:")
         assert "registry.json" in err
         assert "sideways" in err
+
+
+def read_tree(state_dir):
+    """Every file's bytes; each mtime is then set to 0, so a rewrite shows."""
+    tree = {}
+    for path in state_dir.rglob("*"):
+        if path.is_file():
+            tree[path.relative_to(state_dir).as_posix()] = path.read_bytes()
+            os.utime(path, ns=(0, 0))
+    return tree
+
+
+def rewritten(state_dir):
+    return {
+        path.relative_to(state_dir).as_posix()
+        for path in state_dir.rglob("*")
+        if path.is_file() and path.stat().st_mtime_ns != 0
+    }
+
+
+class TestStateWrites:
+    """fail and repair rewrite one node file, atomically; setup writes the registry last."""
+
+    def test_fail_and_repair_touch_only_their_node(self, state_dir, capsys):
+        # the holder last: failing it loses the sub-share it hosts for good
+        for node in (2, hosting_node(state_dir)):
+            name = f"nodes/node_{node:02d}.json"
+            for command in ("fail", "repair"):
+                before = read_tree(state_dir)
+                code, _, _ = run(capsys, command, "--node", str(node), state_dir=state_dir)
+                assert code == 0
+                assert rewritten(state_dir) == {name}
+                after = read_tree(state_dir)
+                assert after.keys() == before.keys()
+                assert after[name] != before[name]
+                assert {f: b for f, b in after.items() if f != name} == {
+                    f: b for f, b in before.items() if f != name
+                }
+
+    def test_failed_rename_keeps_old_bytes(self, state_dir, capsys, monkeypatch):
+        path = state_dir / "nodes" / "node_03.json"
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(protocol.os, "replace", refuse)
+        code, _, err = run(capsys, "fail", "--node", "3", state_dir=state_dir)
+        assert code == 3
+        assert err.startswith("io-error:")
+        assert path.read_bytes() == before
+        leftover = path.with_name("node_03.json.tmp")
+        assert leftover.exists()
+
+        monkeypatch.undo()
+        assert run(capsys, "fail", "--node", "3", state_dir=state_dir)[0] == 0
+        assert json.loads(path.read_text())["y"] is None
+        assert not leftover.exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "over-old-state"])
+    def test_setup_cut_short_leaves_no_registry(
+        self, tmp_path, capsys, monkeypatch, existing
+    ):
+        directory = tmp_path / "state"
+        if existing:
+            assert run(capsys, "setup", *TOY_FLAGS, state_dir=directory)[0] == 0
+        real = protocol.node_store_dict
+        calls = []
+
+        def crash_midway(node):
+            calls.append(node)
+            if len(calls) == 6:
+                raise OSError("disk gone")
+            return real(node)
+
+        monkeypatch.setattr(protocol, "node_store_dict", crash_midway)
+        flags = [*TOY_FLAGS[:-1], "8"]  # another seed, so every file would change
+        assert run(capsys, "setup", *flags, state_dir=directory)[0] == 3
+        monkeypatch.undo()
+        assert not (directory / "registry.json").exists()
+        code, out, err = run(
+            capsys, "recover", "--participants", *ALL_NODES, state_dir=directory
+        )
+        assert code == 3
+        assert out == ""
+        assert "registry.json" in err
 
 
 class TestRepair:

@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from lrshare import protocol
+from lrshare.cli import main
 from lrshare.errors import (
     AuthorizationError,
     ConfigurationError,
@@ -143,6 +144,28 @@ class TestSetup:
             save_state(state, directory)
             digest = GOLDEN_STATE_DIGESTS[(k, n, m), placement]
             assert state_digest(directory) == digest, (k, n, m, placement)
+
+    def test_fail_repair_restores_golden_bytes(self, tmp_path):
+        for (k, n, m), placement in product(((8, 12, 3), (12, 16, 4)), PLACEMENT_MODES):
+            directory = tmp_path / f"{n}-{placement}"
+            sd = ["--state-dir", str(directory)]
+            flags = ["--k", str(k), "--n", str(n), "--m", str(m), "--secret", "42"]
+            assert main([*sd, "setup", *flags, "--seed", "7", "--placement", placement]) == 0
+            golden = GOLDEN_STATE_DIGESTS[(k, n, m), placement]
+            # a failed holder loses the sub-share it hosts, so only plain nodes
+            nodes = load_state(directory).nodes
+            plain = [i for i in sorted(nodes) if not nodes[i].hosted]
+            for node in (plain[0], plain[-1]):
+                assert main([*sd, "fail", "--node", str(node)]) == 0
+                failed = state_digest(directory)
+                if placement == "none":
+                    # a refused repair writes nothing
+                    assert main([*sd, "repair", "--node", str(node)]) == 2
+                    assert state_digest(directory) == failed
+                    continue
+                assert main([*sd, "repair", "--node", str(node)]) == 0
+                assert state_digest(directory) == golden, (k, n, m, placement, node)
+            assert not list(directory.rglob("*.tmp"))
 
     def test_different_seed_differs(self):
         a = system_setup(8, 12, 3, secret=42, seed=7)
