@@ -53,12 +53,10 @@ from .shamir import Share, SharingParams, recover, reconstruct_polynomial, split
 from .threat import (
     AttackerKnowledge,
     CompromiseModel,
-    ThreatAnalyzer,
     attacker_closure,
     mc_group_compromise,
     min_compromise_over_placements,
     min_compromise_search,
-    min_compromise_size,
     p1_exact,
     p2_exact,
 )

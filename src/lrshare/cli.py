@@ -187,12 +187,10 @@ def _attack_enum(args) -> int:
     if args.anti_reciprocal:
         result = threat.min_compromise_over_placements(state, anti_reciprocal=True)
         mode = "anti-reciprocal"
-        size, witness = result.size, result.witness
     else:
-        found = threat.min_compromise_search(state)
+        result = threat.min_compromise_search(state)
         mode = state.placement_mode
-        size, witness = found.size, found.witness
-    witness_list = sorted(witness)
+    size, witness_list = result.size, sorted(result.witness)
     _emit(
         args,
         {

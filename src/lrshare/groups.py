@@ -123,13 +123,6 @@ def setup_sss(
     return split(field, sub_secret, params, rng)
 
 
-def _interpolate_first(field: PrimeField, points: list[tuple[int, int]], count: int):
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise DomainError("points must have distinct x values")
-    return field.poly_interpolate(sorted(points)[:count])
-
-
 def repair_share(
     field: PrimeField,
     surviving: list[Share],
@@ -147,13 +140,13 @@ def repair_share(
     Raises InsufficientPointsError when fewer than gamma points are
     available, i.e. more than one member of the group is missing at once.
     """
-    points = [(s.x, s.y) for s in surviving] + [(redundancy.x, redundancy.y)]
+    points = [*surviving, Share(redundancy.x, redundancy.y)]
     if len(points) < gamma:
         raise InsufficientPointsError(
             f"repair needs {gamma} points, got {len(points)}"
             " (more than one failure in this group)"
         )
-    poly = _interpolate_first(field, points, gamma)
+    poly = reconstruct_polynomial(field, points, gamma)
     return field.poly_eval(poly, failed_x)
 
 

@@ -641,9 +641,11 @@ def load_state(directory: str | Path) -> SystemState:
     """Rebuild a SystemState from a directory written by save_state.
 
     A file that is not valid JSON, lacks an entry, names an unknown
-    placement mode or disagrees with the registry raises StateFileError; a
-    stored share value outside [0, p) raises DomainError.  Both name the
-    file.  A node file agrees with the registry when its id is the node it
+    placement mode or disagrees with the registry raises StateFileError, as
+    does a registry whose k, n and m are not integers with 1 <= k <= n
+    describing its n participants in m groups of n/m members; a stored
+    share value outside [0, p) raises DomainError.  Both name the file.
+    A node file agrees with the registry when its id is the node it
     is loaded as, its own sub-share (held exactly while the node is alive
     in a system with redundancy) sits at its x in its group's sss_x, and
     every hosted digest names a group whose external point, the last
@@ -655,6 +657,11 @@ def load_state(directory: str | Path) -> SystemState:
         registry = json.loads(path.read_text())
         field = PrimeField(registry["modulus"])
         k, n, m = registry["k"], registry["n"], registry["m"]
+        if any(type(v) is not int for v in (k, n, m)) or not (1 <= k <= n and m >= 1):
+            raise StateFileError(
+                f"{path}: need integers 1 <= k <= n and m >= 1, "
+                f"got k={k!r}, n={n!r}, m={m!r}"
+            )
         placement_mode = registry["placement_mode"]
         if placement_mode not in PLACEMENT_MODES:
             raise StateFileError(f"{path}: unknown placement_mode {placement_mode!r}")
@@ -680,6 +687,14 @@ def load_state(directory: str | Path) -> SystemState:
             x_lambda = None if entry["x_lambda"] is None else int(entry["x_lambda"])
             group_records[spec.group_id] = GroupRecord(
                 spec, x_lambda, sss_x, entry["digest_hex"]
+            )
+
+        if (len(participants), len(group_records)) != (n, m) or any(
+            len(rec.spec.member_ids) * m != n for rec in group_records.values()
+        ):
+            raise StateFileError(
+                f"{path}: n={n}, m={m} disagree with the {len(participants)} "
+                f"participants in {len(group_records)} groups (n/m members each)"
             )
 
         p = field.modulus

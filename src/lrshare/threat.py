@@ -8,9 +8,10 @@ Three layers:
 * the attacker-knowledge closure: everything derivable from a compromised
   server set plus the public registry, iterating sub-secret recovery and
   repairing-polynomial interpolation to a fixpoint;
-* exhaustive search for the smallest compromised set that recovers the
-  global secret, per placement or minimized over every admissible
-  placement of the external sub-shares.
+* the exact smallest compromised set that recovers the global secret,
+  found by a search over sets of groups (not of nodes), per placement or
+  minimized over every admissible placement of the external sub-shares;
+  refused above ENUMERATION_GROUP_LIMIT groups.
 
 The attacker model is conservative: the full public registry (every x,
 every group's weak-redundancy abscissa, every digest) is free, so hosted
@@ -32,7 +33,7 @@ from .shamir import Share
 SCHEME_BASELINE4 = "baseline4"
 SCHEME_SSS5 = "sss5"
 
-ENUMERATION_NODE_LIMIT = 16
+ENUMERATION_GROUP_LIMIT = 16
 PLACEMENT_SWEEP_LIMIT = 1_000_000
 
 _GROUP_SIZE = 4  # the closed-form expressions below are for 4-member groups
@@ -197,132 +198,95 @@ def attacker_closure(state: SystemState, compromised) -> AttackerKnowledge:
     )
 
 
-class ThreatAnalyzer:
-    """Counting view of a healthy system for bulk closure queries.
+@dataclass(frozen=True)
+class CompromiseResult:
+    """Smallest secret-recovering compromised set under one placement.
 
-    Whether a compromised set recovers the secret depends only on how many
-    sub-shares and polynomial points per group it reaches, so enumeration
-    runs on bitmask cardinalities; attacker_closure stays the value-level
-    reference and the two are cross-checked in tests.
+    holders maps each group with an external sub-share to the node that
+    hosts it: the state's own placement, or the one a sweep found.
     """
 
-    def __init__(self, state: SystemState):
-        failed = [i for i, node in state.nodes.items() if node.failed]
-        if failed:
-            raise ConfigurationError(
-                f"threat enumeration needs a healthy system; failed: {failed}"
-            )
-        self.k = state.k
-        self.gamma = state.gamma
-        self.node_ids = sorted(state.nodes)
-        self.bit = {node_id: 1 << idx for idx, node_id in enumerate(self.node_ids)}
-        digest_to_group = state.group_digests()
-        holder: dict[int, int] = {}
-        for node_id, node in state.nodes.items():
-            for digest, _ in node.hosted:
-                group_id = digest_to_group[digest]
-                if group_id in holder:
-                    raise ConfigurationError(
-                        f"group {group_id} has multiple hosted sub-shares"
-                    )
-                holder[group_id] = node_id
-        self.holders = holder
-        self.group_ids = sorted(state.groups)
-        self._group_info = []
-        for group_id in self.group_ids:
-            rec = state.groups[group_id]
-            members_mask = 0
-            for mid in rec.spec.member_ids:
-                members_mask |= self.bit[mid]
-            holder_bit = self.bit[holder[group_id]] if group_id in holder else 0
-            self._group_info.append(
-                (members_mask, holder_bit, rec.x_lambda is not None)
-            )
-
-    def mask_of(self, node_ids) -> int:
-        mask = 0
-        for node_id in node_ids:
-            mask |= self.bit[node_id]
-        return mask
-
-    def recovers(self, node_ids, holders: dict[int, int] | None = None) -> bool:
-        """Does this compromised set reach the global secret?"""
-        if holders is None:
-            return self._recovers_mask(self.mask_of(node_ids))
-        holder_bits = self._holder_bits(holders)
-        return self._recovers_mask(self.mask_of(node_ids), holder_bits)
-
-    def _holder_bits(self, holders: dict[int, int]) -> tuple[int, ...]:
-        return tuple(
-            self.bit[holders[g]] if g in holders else 0 for g in self.group_ids
-        )
-
-    def _recovers_mask(
-        self, comp_mask: int, holder_bits: tuple[int, ...] | None = None
-    ) -> bool:
-        gamma = self.gamma
-        total = 0
-        for idx, (members_mask, holder_bit, has_redundancy) in enumerate(
-            self._group_info
-        ):
-            direct = (members_mask & comp_mask).bit_count()
-            if has_redundancy and direct == gamma - 1:
-                hb = holder_bit if holder_bits is None else holder_bits[idx]
-                # direct member sub-shares + the external one reach the
-                # sub-sharing threshold, and gamma-1 points + the weak point
-                # pin the repairing polynomial
-                if hb & comp_mask:
-                    direct = gamma
-            total += direct
-        return total >= self.k
-
-
-@dataclass(frozen=True)
-class CompromiseSearchResult:
-    size: int
-    witness: frozenset[int]
-
-
-@dataclass(frozen=True)
-class PlacementSweepResult:
     size: int
     witness: frozenset[int]
     holders: dict[int, int]
 
 
-def _check_enumeration_size(count: int):
-    if count > ENUMERATION_NODE_LIMIT:
-        raise EnumerationLimitError(
-            f"exhaustive enumeration refused for {count} nodes "
-            f"(limit {ENUMERATION_NODE_LIMIT})"
+def _holders(state: SystemState) -> dict[int, int]:
+    """The state's holder map, for a healthy system of at most
+    ENUMERATION_GROUP_LIMIT groups with at most one hosted sub-share each."""
+    failed = [i for i, node in state.nodes.items() if node.failed]
+    if failed:
+        raise ConfigurationError(
+            f"threat enumeration needs a healthy system; failed: {failed}"
         )
+    digest_to_group = state.group_digests()
+    holders: dict[int, int] = {}
+    for node_id, node in state.nodes.items():
+        for digest, _ in node.hosted:
+            group_id = digest_to_group[digest]
+            if group_id in holders:
+                raise ConfigurationError(
+                    f"group {group_id} has multiple hosted sub-shares"
+                )
+            holders[group_id] = node_id
+    if state.m > ENUMERATION_GROUP_LIMIT:
+        raise EnumerationLimitError(
+            f"compromise search refused for {state.m} groups "
+            f"(limit {ENUMERATION_GROUP_LIMIT})"
+        )
+    return holders
 
 
-def min_compromise_search(state: SystemState) -> CompromiseSearchResult:
+def _min_under(state: SystemState, holders: dict[int, int]) -> CompromiseResult:
+    """Exact minimum over the sets T of "bonus" groups.
+
+    A captured set S reaches the secret iff |S| + B(S) >= k, where B(S)
+    counts the groups with redundancy that have exactly gamma-1 captured
+    members and their external holder in S (the holder's sub-share lifts
+    the group to gamma points).  Realising a bonus set T takes gamma-1
+    members of each T group, which must include every T holder inside T's
+    groups, plus each distinct holder outside them; so the minimum is
+    min over T of max(cost(T), k - |T|).  Since cost(T) >= (gamma-1)|T|,
+    the search stops at the first |T| whose bound reaches the best size.
+    """
+    gamma, k = state.gamma, state.k
+    bonus_groups = sorted(g for g in holders if state.groups[g].x_lambda is not None)
+    best = None
+    for count in range(len(bonus_groups) + 1):
+        if best is not None and (gamma - 1) * count >= best[0]:
+            break
+        for bonus in combinations(bonus_groups, count):
+            inside: dict[int, set[int]] = {g: set() for g in bonus}
+            outside: set[int] = set()
+            for g in bonus:
+                holder = holders[g]
+                host = state.group_of[holder]
+                (inside[host] if host in inside else outside).add(holder)
+            if any(len(needed) >= gamma for needed in inside.values()):
+                continue
+            size = max((gamma - 1) * count + len(outside), k - count)
+            if best is None or size < best[0]:
+                best = (size, inside, outside)
+    size, inside, outside = best
+    witness = set(outside)
+    for g, needed in inside.items():
+        rest = [i for i in state.groups[g].spec.member_ids if i not in needed]
+        witness.update(sorted(needed) + rest[: gamma - 1 - len(needed)])
+    spare = (i for i in sorted(state.nodes) if state.group_of[i] not in inside)
+    for node_id in spare:
+        if len(witness) >= size:
+            break
+        witness.add(node_id)
+    return CompromiseResult(size=size, witness=frozenset(witness), holders=holders)
+
+
+def min_compromise_search(state: SystemState) -> CompromiseResult:
     """Smallest compromised set that recovers the secret, with a witness.
 
-    Exhaustive over subsets of the in-group servers, ascending by size with
-    early exit; refused above ENUMERATION_NODE_LIMIT nodes.
+    Exact, and exhaustive over sets of groups rather than of nodes;
+    refused above ENUMERATION_GROUP_LIMIT groups.
     """
-    analyzer = ThreatAnalyzer(state)
-    ids = analyzer.node_ids
-    _check_enumeration_size(len(ids))
-    bits = [analyzer.bit[i] for i in ids]
-    for size in range(1, len(ids) + 1):
-        for combo in combinations(range(len(ids)), size):
-            mask = 0
-            for idx in combo:
-                mask |= bits[idx]
-            if analyzer._recovers_mask(mask):
-                return CompromiseSearchResult(
-                    size=size, witness=frozenset(ids[idx] for idx in combo)
-                )
-    raise ConfigurationError("system cannot be compromised even in full")
-
-
-def min_compromise_size(state: SystemState) -> int:
-    """Size of the smallest secret-recovering compromised set."""
-    return min_compromise_search(state).size
+    return _min_under(state, _holders(state))
 
 
 def admissible_placements(
@@ -364,38 +328,25 @@ def admissible_placements(
 
 def min_compromise_over_placements(
     state: SystemState, anti_reciprocal: bool = True
-) -> PlacementSweepResult:
+) -> CompromiseResult:
     """Minimum compromise size over every admissible placement.
 
     Answers how well the placement policy can possibly do: the smallest
     compromised set that recovers the secret under any placement the policy
-    allows.  Ascending by subset size with early exit, exhaustive in both
-    the subset and the placement dimension.
+    allows.  Exact per placement; the first placement to reach the minimum
+    is returned with its witness.
     """
     for rec in state.groups.values():
         if rec.x_lambda is None:
             raise ConfigurationError(
                 "placement sweep needs a system with repair redundancy"
             )
-    analyzer = ThreatAnalyzer(state)
-    ids = analyzer.node_ids
-    _check_enumeration_size(len(ids))
-    placements = admissible_placements(state, anti_reciprocal)
-    holder_bits = [analyzer._holder_bits(p) for p in placements]
-    bits = [analyzer.bit[i] for i in ids]
-    for size in range(1, len(ids) + 1):
-        masks = []
-        for combo in combinations(range(len(ids)), size):
-            mask = 0
-            for idx in combo:
-                mask |= bits[idx]
-            masks.append((mask, combo))
-        for placement, hb in zip(placements, holder_bits):
-            for mask, combo in masks:
-                if analyzer._recovers_mask(mask, hb):
-                    return PlacementSweepResult(
-                        size=size,
-                        witness=frozenset(ids[idx] for idx in combo),
-                        holders=placement,
-                    )
-    raise ConfigurationError("system cannot be compromised even in full")
+    _holders(state)  # the same state checks as min_compromise_search
+    best = None
+    for holders in admissible_placements(state, anti_reciprocal):
+        result = _min_under(state, holders)
+        if best is None or result.size < best.size:
+            best = result
+    if best is None:
+        raise ConfigurationError("no admissible placement to sweep")
+    return best

@@ -34,7 +34,6 @@ from lrshare.threat import (
     mc_group_compromise,
     min_compromise_over_placements,
     min_compromise_search,
-    min_compromise_size,
     p1_exact,
     p2_exact,
 )
@@ -161,7 +160,7 @@ def test_c5_worst_case_enumeration():
     assert sweep.size == 7
 
     bare = system_setup(**TOY, placement=PLACEMENT_NONE)
-    assert min_compromise_size(bare) == 8
+    assert min_compromise_search(bare).size == 8
 
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0

@@ -8,6 +8,7 @@ import pytest
 from lrshare import protocol
 from lrshare.cli import main
 from lrshare.field import DEFAULT_MODULUS as P
+from tests.test_threat import ReferenceCounter, state_holders
 
 TOY_FLAGS = ["--k", "8", "--n", "12", "--m", "3", "--secret", "42", "--seed", "7"]
 
@@ -262,6 +263,45 @@ class TestCorruptState:
         assert "sideways" in err
 
 
+    @pytest.mark.parametrize(
+        "command",
+        [["recover", "--participants", *ALL_NODES], ["attack", "--mode", "enum"]],
+        ids=["recover", "enum"],
+    )
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"k": "8"},
+            {"k": 0},
+            {"k": 13},
+            {"k": 8.0},
+            {"n": 16},
+            {"n": True},
+            {"m": 4},
+            {"m": 0},
+            {"m": None},
+        ],
+        ids=lambda change: "-".join(f"{key}={value!r}" for key, value in change.items()),
+    )
+    def test_bad_parameters_exit_three(self, state_dir, capsys, command, change):
+        edit_registry(state_dir, lambda raw: raw.update(change))
+        code, out, err = run(capsys, *command, state_dir=state_dir)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert "registry.json" in err
+
+    def test_uneven_groups_exit_three(self, state_dir, capsys):
+        def move_member(raw):
+            raw["groups"][1]["members"].append(raw["groups"][0]["members"].pop())
+
+        edit_registry(state_dir, move_member)
+        code, out, err = run(capsys, "attack", "--mode", "enum", state_dir=state_dir)
+        assert code == 3
+        assert out == ""
+        assert "registry.json" in err
+
+
 def read_tree(state_dir):
     """Every file's bytes; each mtime is then set to 0, so a rewrite shows."""
     tree = {}
@@ -459,8 +499,25 @@ class TestAttack:
 
     def test_enum_refused_for_large_system(self, tmp_path, capsys):
         directory = tmp_path / "big"
-        run(capsys, "setup", "--k", "8", "--n", "20", "--m", "5",
+        run(capsys, "setup", "--k", "8", "--n", "34", "--m", "17",
             "--secret", "1", "--seed", "1", state_dir=directory)
         code, _, err = run(capsys, "attack", "--mode", "enum", state_dir=directory)
         assert code == 2
         assert "enumeration-limit" in err
+
+    def test_enum_on_twenty_nodes(self, tmp_path, capsys):
+        directory = tmp_path / "wide"
+        run(capsys, "setup", "--k", "8", "--n", "20", "--m", "5",
+            "--secret", "1", "--seed", "1", state_dir=directory)
+        code, out, _ = run(
+            capsys, "--format", "json", "attack", "--mode", "enum",
+            state_dir=directory,
+        )
+        assert code == 0
+        record = json.loads(out)
+        state = protocol.load_state(directory)
+        holders = state_holders(state)
+        ref = ReferenceCounter(state)
+        assert record["min_compromise_size"] == ref.min_size(holders)
+        assert len(record["witness_subset"]) == record["min_compromise_size"]
+        assert ref.recovers(record["witness_subset"], holders)

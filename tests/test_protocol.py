@@ -3,9 +3,12 @@
 import copy
 import hashlib
 import json
+import tempfile
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrshare import protocol
 from lrshare.cli import main
@@ -29,13 +32,14 @@ from lrshare.protocol import (
     lookup_holder,
     mark_failed,
     recover_secret,
+    node_store_dict,
     registry_dict,
     request_repair,
     save_state,
     storage_accounting,
     system_setup,
 )
-from tests.conftest import TOY
+from tests.conftest import TOY, system_shapes
 
 
 def holder_of(state, group_id):
@@ -414,6 +418,21 @@ class TestRecoverSecret:
 
 
 class TestPersistence:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(system_shapes(max_n=48), st.booleans())
+    def test_roundtrip_random_systems(self, shape, fail_one):
+        k, n, m, placement, seed = shape
+        state = system_setup(k, n, m, secret=seed, seed=seed, placement=placement)
+        if fail_one:
+            mark_failed(state, seed % n + 1)
+        with tempfile.TemporaryDirectory() as directory:
+            save_state(state, directory)
+            loaded = load_state(directory)
+        assert registry_dict(loaded) == registry_dict(state)
+        assert loaded.nodes.keys() == state.nodes.keys()
+        for node_id, node in state.nodes.items():
+            assert node_store_dict(loaded.nodes[node_id]) == node_store_dict(node)
+
     def test_roundtrip(self, toy_system, tmp_path):
         save_state(toy_system, tmp_path)
         loaded = load_state(tmp_path)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrshare.errors import (
     ConfigurationError,
@@ -10,6 +12,7 @@ from lrshare.errors import (
     DomainError,
     InsufficientSharesError,
 )
+from lrshare.field import PrimeField, is_probable_prime
 from lrshare.shamir import (
     Share,
     SharingParams,
@@ -168,3 +171,25 @@ class TestShareInvariant:
     def test_zero_x_rejected(self):
         with pytest.raises(DomainError):
             Share(0, 5)
+
+
+def next_prime(value):
+    while not is_probable_prime(value):
+        value += 1
+    return value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_split_recover_round_trip_over_random_primes(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    modulus = next_prime(data.draw(st.integers(n + 1, 2**64), label="modulus floor"))
+    field = PrimeField(modulus)
+    secret = data.draw(st.integers(0, modulus - 1), label="secret")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shares = split(field, secret, SharingParams.with_default_assignment(k, n), rng)
+    count = data.draw(st.integers(k, n), label="shares used")
+    subset = data.draw(st.permutations(shares), label="order")[:count]
+    assert recover(field, subset, k) == secret
+    assert reconstruct_polynomial(field, subset, k)[0] == secret

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from lrshare import protocol
 from lrshare.errors import ConfigurationError, DomainError, EnumerationLimitError
@@ -10,16 +11,16 @@ from lrshare.threat import (
     SCHEME_BASELINE4,
     SCHEME_SSS5,
     CompromiseModel,
-    ThreatAnalyzer,
+    _min_under,
+    admissible_placements,
     attacker_closure,
     mc_group_compromise,
     min_compromise_over_placements,
     min_compromise_search,
-    min_compromise_size,
     p1_exact,
     p2_exact,
 )
-from tests.conftest import TOY
+from tests.conftest import TOY, system_shapes
 
 
 def holder_of(state, group_id):
@@ -28,6 +29,75 @@ def holder_of(state, group_id):
         if any(d == digest for d, _ in node.hosted):
             return node_id
     return None
+
+
+def state_holders(state):
+    return {g: h for g in state.groups if (h := holder_of(state, g)) is not None}
+
+
+# -- brute-force reference ----------------------------------------------------
+#
+# The node-subset search the group-level solver replaced: the counting rule
+# on bitmasks, over every subset in ascending size.  It is exponential in n
+# and serves only as the cross-check reference for n <= 20.
+
+
+class ReferenceCounter:
+    """Counting rule: a captured set reaches the secret iff |S| + B(S) >= k,
+    B(S) being the groups with redundancy that have exactly gamma-1 captured
+    members and their external holder captured."""
+
+    def __init__(self, state):
+        self.k, self.gamma = state.k, state.gamma
+        self.node_ids = sorted(state.nodes)
+        self.bit = {node_id: 1 << idx for idx, node_id in enumerate(self.node_ids)}
+        self.groups = [
+            (g, self.mask_of(rec.spec.member_ids), rec.x_lambda is not None)
+            for g, rec in sorted(state.groups.items())
+        ]
+
+    def mask_of(self, node_ids):
+        mask = 0
+        for node_id in node_ids:
+            mask |= self.bit[node_id]
+        return mask
+
+    def holder_bits(self, holders):
+        return [self.bit[holders[g]] if g in holders else 0 for g, _, _ in self.groups]
+
+    def recovers_mask(self, mask, holder_bits):
+        total = 0
+        for (_, members, redundant), holder_bit in zip(self.groups, holder_bits):
+            direct = (members & mask).bit_count()
+            if redundant and direct == self.gamma - 1 and holder_bit & mask:
+                direct = self.gamma
+            total += direct
+        return total >= self.k
+
+    def recovers(self, node_ids, holders):
+        return self.recovers_mask(self.mask_of(node_ids), self.holder_bits(holders))
+
+    def min_size(self, holders):
+        """Smallest recovering subset size, ascending with early exit."""
+        bits = self.holder_bits(holders)
+        count = len(self.node_ids)
+        for size in range(1, count + 1):
+            mask = (1 << size) - 1
+            while mask < 1 << count:  # every size-bit mask, by Gosper's hack
+                if self.recovers_mask(mask, bits):
+                    return size
+                low = mask & -mask
+                ripple = mask + low
+                mask = ripple | ((ripple ^ mask) >> 2) // low
+        raise AssertionError("the full node set always recovers")
+
+
+def check_against_reference(state, result, holders, ref=None):
+    """Size equals the brute force; the witness has that size and recovers."""
+    ref = ref or ReferenceCounter(state)
+    assert result.size == ref.min_size(holders)
+    assert len(result.witness) == result.size
+    assert ref.recovers(result.witness, holders)
 
 
 class TestExactFormulas:
@@ -170,11 +240,12 @@ class TestClosure:
             )
 
     def test_counting_path_matches_closure(self, toy_system, rng):
-        analyzer = ThreatAnalyzer(toy_system)
+        ref = ReferenceCounter(toy_system)
+        holders = state_holders(toy_system)
         ids = sorted(toy_system.nodes)
         for _ in range(2000):
             comp = frozenset(rng.sample(ids, rng.randrange(0, 13)))
-            assert analyzer.recovers(comp) == attacker_closure(
+            assert ref.recovers(comp, holders) == attacker_closure(
                 toy_system, comp
             ).secret_recovered
 
@@ -205,7 +276,7 @@ class TestMinCompromise:
         assert sorted(len(v) for v in by_group.values()) == [3, 3]
 
     def test_bare_threshold_needs_eight(self, bare_system):
-        assert min_compromise_size(bare_system) == 8
+        assert min_compromise_search(bare_system).size == 8
 
     def test_anti_reciprocal_placements_need_seven(self, toy_system):
         result = min_compromise_over_placements(toy_system, anti_reciprocal=True)
@@ -217,12 +288,12 @@ class TestMinCompromise:
 
     def test_anti_reciprocal_state_needs_seven(self):
         state = protocol.system_setup(**TOY, placement=protocol.PLACEMENT_ANTI_RECIPROCAL)
-        assert min_compromise_size(state) == 7
+        assert min_compromise_search(state).size == 7
 
     def test_enumeration_refused_for_large_systems(self):
-        state = protocol.system_setup(8, 20, 5, secret=1, seed=1)
+        state = protocol.system_setup(8, 34, 17, secret=1, seed=1)
         with pytest.raises(EnumerationLimitError):
-            min_compromise_size(state)
+            min_compromise_search(state)
 
     def test_sweep_needs_redundancy(self, bare_system):
         with pytest.raises(ConfigurationError):
@@ -231,4 +302,49 @@ class TestMinCompromise:
     def test_analyzer_requires_healthy_system(self, toy_system):
         protocol.mark_failed(toy_system, 1)
         with pytest.raises(ConfigurationError):
-            ThreatAnalyzer(toy_system)
+            min_compromise_search(toy_system)
+
+
+class TestGroupSolverExactness:
+    """The group-level solver against the node-subset brute force."""
+
+    def test_every_unconstrained_placement_of_the_toy(self, toy_system):
+        ref = ReferenceCounter(toy_system)
+        placements = admissible_placements(toy_system, anti_reciprocal=False)
+        assert len(placements) == 512
+        sizes = set()
+        for holders in placements:
+            result = _min_under(toy_system, holders)
+            check_against_reference(toy_system, result, holders, ref)
+            sizes.add(result.size)
+        assert min(sizes) == 6
+
+    @pytest.mark.parametrize("anti_reciprocal", [True, False])
+    def test_sweep_witness_under_its_placement(self, toy_system, anti_reciprocal):
+        result = min_compromise_over_placements(toy_system, anti_reciprocal)
+        assert result.holders in admissible_placements(toy_system, anti_reciprocal)
+        check_against_reference(toy_system, result, result.holders)
+
+    @pytest.mark.parametrize("placement", protocol.PLACEMENT_MODES)
+    def test_sixteen_node_states(self, placement):
+        for seed in range(1, 11):
+            state = protocol.system_setup(12, 16, 4, secret=5, seed=seed, placement=placement)
+            result = min_compromise_search(state)
+            assert result.holders == state_holders(state)
+            check_against_reference(state, result, result.holders)
+            assert attacker_closure(state, result.witness).secret_recovered
+
+    def test_twenty_nodes_beyond_the_old_node_limit(self):
+        state = protocol.system_setup(8, 20, 5, secret=1, seed=1)
+        result = min_compromise_search(state)
+        check_against_reference(state, result, state_holders(state))
+        assert attacker_closure(state, result.witness).secret_recovered
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(system_shapes(max_n=16))
+    def test_random_systems(self, shape):
+        k, n, m, placement, seed = shape
+        state = protocol.system_setup(k, n, m, secret=3, seed=seed, placement=placement)
+        result = min_compromise_search(state)
+        check_against_reference(state, result, state_holders(state))
+        assert attacker_closure(state, result.witness).secret_recovered
