@@ -137,7 +137,7 @@ def cmd_repair(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    state = protocol.load_state(_state_dir(args))
+    state = protocol.load_state(_state_dir(args), args.participants)
     secret = protocol.recover_secret(state, args.participants)
     _emit(args, {"record": "recover", "secret": str(secret)}, str(secret))
     return EXIT_OK

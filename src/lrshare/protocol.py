@@ -595,8 +595,13 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _node_path(node_dir: Path, node_id: int, n: int) -> Path:
-    return node_dir / f"node_{node_id:0{len(str(n))}d}.json"
+def _node_name(node_id: int, n: int) -> str:
+    return f"node_{node_id:0{len(str(n))}d}.json"
+
+
+def _read_json(path: str):
+    with open(path, "rb") as f:
+        return json.loads(f.read())
 
 
 def save_state(
@@ -605,8 +610,11 @@ def save_state(
     """Write the state as registry.json plus one store file per node.
 
     With node_ids omitted (setup) every node file is written in place and
-    registry.json last, after the stale one, if any, is removed: a save
-    cut short leaves no registry, so load_state refuses the directory.
+    registry.json last, after the stale one, if any, and any leftover
+    '*.json.tmp' are removed: a save cut short leaves no registry, so
+    load_state refuses the directory.  The state must then hold every
+    participant's store; a partial load_state result raises
+    ConfigurationError, since its registry would list only the loaded nodes.
 
     With node_ids given only those nodes' files are written, and the
     registry is not, since failing or repairing a node never changes it.
@@ -619,16 +627,23 @@ def save_state(
     node_dir = root / NODE_DIR
     if node_ids is not None:
         for node_id in node_ids:
-            path = _node_path(node_dir, node_id, state.n)
+            path = node_dir / _node_name(node_id, state.n)
             tmp = path.with_name(path.name + ".tmp")
             tmp.write_text(_dump(node_store_dict(state.nodes[node_id])))
             os.replace(tmp, path)
         return
+    if state.nodes.keys() != state.participants.keys():
+        raise ConfigurationError(
+            f"state holds {len(state.nodes)} of {len(state.participants)} node "
+            "stores; a partial load is read-only"
+        )
     node_dir.mkdir(parents=True, exist_ok=True)
     registry = root / REGISTRY_FILE
     registry.unlink(missing_ok=True)
+    for leftover in node_dir.glob("*.json.tmp"):
+        leftover.unlink()
     for node_id in sorted(state.nodes):
-        path = _node_path(node_dir, node_id, state.n)
+        path = node_dir / _node_name(node_id, state.n)
         path.write_text(_dump(node_store_dict(state.nodes[node_id])))
     registry.write_text(_dump(registry_dict(state)))
 
@@ -637,24 +652,36 @@ def _share(raw: dict) -> Share:
     return Share(int(raw["x"]), int(raw["y"]))
 
 
-def load_state(directory: str | Path) -> SystemState:
+def load_state(
+    directory: str | Path, node_ids: Iterable[int] | None = None
+) -> SystemState:
     """Rebuild a SystemState from a directory written by save_state.
+
+    The registry is always read and checked in full.  With node_ids
+    omitted every node file is read; with node_ids given only those nodes'
+    files are, and state.nodes holds just those stores.  Such a partial
+    state is read-only: it serves recover_secret over the loaded nodes,
+    and save_state refuses to write it back as a whole.  An id that is
+    not a registry participant raises ConfigurationError before any node
+    file is opened.
 
     A file that is not valid JSON, lacks an entry, names an unknown
     placement mode or disagrees with the registry raises StateFileError, as
     does a registry whose k, n and m are not integers with 1 <= k <= n
-    describing its n participants in m groups of n/m members; a stored
+    describing its n participants in m groups of n/m members, or whose
+    groups together do not list every participant exactly once; a stored
     share value outside [0, p) raises DomainError.  Both name the file.
     A node file agrees with the registry when its id is the node it
     is loaded as, its own sub-share (held exactly while the node is alive
     in a system with redundancy) sits at its x in its group's sss_x, and
     every hosted digest names a group whose external point, the last
-    sss_x, is the hosted sub-share's x.
+    sss_x, is the hosted sub-share's x.  Every node file that is read gets
+    every one of these checks.
     """
-    root = Path(directory)
-    path = root / REGISTRY_FILE  # the file being parsed, for error messages
+    root = os.fspath(directory)
+    path = os.path.join(root, REGISTRY_FILE)  # the file being parsed, for errors
     try:
-        registry = json.loads(path.read_text())
+        registry = _read_json(path)
         field = PrimeField(registry["modulus"])
         k, n, m = registry["k"], registry["n"], registry["m"]
         if any(type(v) is not int for v in (k, n, m)) or not (1 <= k <= n and m >= 1):
@@ -696,13 +723,22 @@ def load_state(directory: str | Path) -> SystemState:
                 f"{path}: n={n}, m={m} disagree with the {len(participants)} "
                 f"participants in {len(group_records)} groups (n/m members each)"
             )
+        if group_of.keys() != participants.keys():
+            raise StateFileError(
+                f"{path}: the groups' members are not the participants, each once"
+            )
+
+        wanted = sorted(participants if node_ids is None else set(node_ids))
+        unknown = [node_id for node_id in wanted if node_id not in participants]
+        if unknown:
+            raise ConfigurationError(f"unknown node {', '.join(map(str, unknown))}")
 
         p = field.modulus
-        node_dir = root / NODE_DIR
+        node_dir = os.path.join(root, NODE_DIR)
         nodes = {}
-        for node_id in sorted(participants):
-            path = _node_path(node_dir, node_id, n)
-            raw = json.loads(path.read_text())
+        for node_id in wanted:
+            path = os.path.join(node_dir, _node_name(node_id, n))
+            raw = _read_json(path)
             if raw["id"] != node_id:
                 raise StateFileError(f"{path}: id {raw['id']!r} is not node {node_id}")
             primary = (

@@ -112,6 +112,25 @@ class TestFailAndRecover:
         assert code == 4
         assert out.startswith("insufficient-shares")
 
+    def test_recover_reads_only_its_participants(self, state_dir, capsys):
+        (state_dir / "nodes" / "node_12.json").write_text('{"id": 12, "y": ')
+        code, out, _ = run(
+            capsys, "recover", "--participants", *map(str, range(1, 9)),
+            state_dir=state_dir,
+        )
+        assert code == 0
+        assert out.strip() == "42"
+
+    def test_recover_unknown_participant_exits_two(self, state_dir, capsys):
+        code, out, err = run(
+            capsys, "recover", "--participants", *map(str, range(1, 8)), "99",
+            state_dir=state_dir,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration:")
+        assert "99" in err
+
     def test_fail_unknown_node_exits_two(self, state_dir, capsys):
         code, _, err = run(capsys, "fail", "--node", "99", state_dir=state_dir)
         assert code == 2
@@ -196,6 +215,20 @@ class TestCorruptState:
         assert out == ""
         assert err.startswith("io-error:")
         assert "node_02.json" in err
+
+    def test_partial_recover_checks_its_participants(self, state_dir, capsys):
+        eight = [str(i) for i in range(1, 9)]
+        path = edit_node(state_dir, 3, lambda raw: raw.update(y=str(P)))
+        code, out, _ = run(capsys, "recover", "--participants", *eight, state_dir=state_dir)
+        assert code == 4
+        assert out.startswith("domain:")
+        assert path.name in out
+        path.write_text('{"id": 3, "y": ')
+        code, out, err = run(capsys, "recover", "--participants", *eight, state_dir=state_dir)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert path.name in err
 
     def test_truncated_registry_exits_three(self, state_dir, capsys):
         path = state_dir / "registry.json"
@@ -302,6 +335,26 @@ class TestCorruptState:
         assert "registry.json" in err
 
 
+@pytest.mark.parametrize("placement", ["none", "random"])
+@pytest.mark.parametrize("member", [99, 1], ids=["unknown", "twice"])
+def test_group_members_must_be_the_participants(tmp_path, capsys, placement, member):
+    directory = tmp_path / "state"
+    flags = [*TOY_FLAGS, "--placement", placement]
+    assert run(capsys, "setup", *flags, state_dir=directory)[0] == 0
+
+    def replace_last_member(raw):
+        assert raw["groups"][2]["members"][-1] == 12
+        raw["groups"][2]["members"][-1] = member
+
+    edit_registry(directory, replace_last_member)
+    for command in (["fail", "--node", "12"], ["repair", "--node", "12"]):
+        code, out, err = run(capsys, *command, state_dir=directory)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert "registry.json" in err
+
+
 def read_tree(state_dir):
     """Every file's bytes; each mtime is then set to 0, so a rewrite shows."""
     tree = {}
@@ -358,6 +411,19 @@ class TestStateWrites:
         assert run(capsys, "fail", "--node", "3", state_dir=state_dir)[0] == 0
         assert json.loads(path.read_text())["y"] is None
         assert not leftover.exists()
+
+    def test_setup_removes_leftover_temp_files(self, state_dir, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(protocol.os, "replace", refuse)
+        assert run(capsys, "fail", "--node", "3", state_dir=state_dir)[0] == 3
+        monkeypatch.undo()
+        assert [p.name for p in state_dir.rglob("*.tmp")] == ["node_03.json.tmp"]
+        assert run(capsys, "setup", *TOY_FLAGS, state_dir=state_dir)[0] == 0
+        assert not list(state_dir.rglob("*.tmp"))
+        code, out, _ = run(capsys, "recover", "--participants", *ALL_NODES, state_dir=state_dir)
+        assert (code, out.strip()) == (0, "42")
 
     @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "over-old-state"])
     def test_setup_cut_short_leaves_no_registry(

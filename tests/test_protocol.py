@@ -433,6 +433,44 @@ class TestPersistence:
         for node_id, node in state.nodes.items():
             assert node_store_dict(loaded.nodes[node_id]) == node_store_dict(node)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(system_shapes(max_n=48), st.booleans(), st.data())
+    def test_partial_load_is_full_load_restricted(self, shape, fail_one, data):
+        k, n, m, placement, seed = shape
+        state = system_setup(k, n, m, secret=seed, seed=seed, placement=placement)
+        if fail_one:
+            mark_failed(state, seed % n + 1)
+        ids = data.draw(st.sets(st.integers(1, n), min_size=1), label="ids")
+        with tempfile.TemporaryDirectory() as directory:
+            save_state(state, directory)
+            full = load_state(directory)
+            partial = load_state(directory, ids)
+        assert partial.nodes.keys() == ids
+        for node_id in ids:
+            assert node_store_dict(partial.nodes[node_id]) == node_store_dict(
+                full.nodes[node_id]
+            )
+        for name in ("k", "n", "m", "placement_mode", "participants", "groups", "group_of"):
+            assert getattr(partial, name) == getattr(full, name), name
+        assert partial.field.modulus == full.field.modulus
+
+    def test_partial_load_refuses_unknown_id_before_reading_nodes(
+        self, toy_system, tmp_path
+    ):
+        save_state(toy_system, tmp_path)
+        (tmp_path / "nodes" / "node_01.json").unlink()
+        with pytest.raises(ConfigurationError, match="unknown node 99"):
+            load_state(tmp_path, [1, 2, 99])
+
+    def test_partial_state_is_read_only(self, toy_system, tmp_path):
+        save_state(toy_system, tmp_path)
+        before = state_digest(tmp_path)
+        partial = load_state(tmp_path, range(1, 9))
+        assert recover_secret(partial, range(1, 9)) == 42
+        with pytest.raises(ConfigurationError, match="partial load is read-only"):
+            save_state(partial, tmp_path)
+        assert state_digest(tmp_path) == before
+
     def test_roundtrip(self, toy_system, tmp_path):
         save_state(toy_system, tmp_path)
         loaded = load_state(tmp_path)
