@@ -28,9 +28,9 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test with the first twelve prime bases.
 
     Deterministic for n < 3.3 * 10^24, far beyond the 64-bit moduli this
-    package targets.
+    package targets.  Anything but an int (a float or a bool) is not prime.
     """
-    if n < 2:
+    if type(n) is not int or n < 2:
         return False
     for p in _MR_BASES:
         if n == p:

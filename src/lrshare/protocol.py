@@ -667,7 +667,8 @@ def load_state(
 
     A file that is not valid JSON, lacks an entry, names an unknown
     placement mode or disagrees with the registry raises StateFileError, as
-    does a registry whose k, n and m are not integers with 1 <= k <= n
+    does a registry whose modulus is not a prime, whose participants' x are
+    not their ids, whose k, n and m are not integers with 1 <= k <= n
     describing its n participants in m groups of n/m members, or whose
     groups together do not list every participant exactly once; a stored
     share value outside [0, p) raises DomainError.  Both name the file.
@@ -682,7 +683,10 @@ def load_state(
     path = os.path.join(root, REGISTRY_FILE)  # the file being parsed, for errors
     try:
         registry = _read_json(path)
-        field = PrimeField(registry["modulus"])
+        try:
+            field = PrimeField(registry["modulus"])
+        except DomainError as exc:
+            raise StateFileError(f"{path}: {exc}") from exc
         k, n, m = registry["k"], registry["n"], registry["m"]
         if any(type(v) is not int for v in (k, n, m)) or not (1 <= k <= n and m >= 1):
             raise StateFileError(
@@ -696,8 +700,11 @@ def load_state(
         participants = {}
         hw_ids = {}
         for entry in registry["participants"]:
-            participants[entry["id"]] = int(entry["x"])
-            hw_ids[entry["id"]] = int(entry["hw_id"], 16)
+            node_id, x = entry["id"], int(entry["x"])
+            if x != node_id:
+                raise StateFileError(f"{path}: participant {node_id!r} has x={x}")
+            participants[node_id] = x
+            hw_ids[node_id] = int(entry["hw_id"], 16)
 
         group_records = {}
         group_of = {}

@@ -9,9 +9,9 @@ Three layers:
   server set plus the public registry, iterating sub-secret recovery and
   repairing-polynomial interpolation to a fixpoint;
 * the exact smallest compromised set that recovers the global secret,
-  found by a search over sets of groups (not of nodes), per placement or
-  minimized over every admissible placement of the external sub-shares;
-  refused above ENUMERATION_GROUP_LIMIT groups.
+  found by a search over sets of groups (not of nodes) under the state's
+  placement, or under the canonical one that reaches the closed-form minimum
+  over all admissible placements; refused above ENUMERATION_GROUP_LIMIT groups.
 
 The attacker model is conservative: the full public registry (every x,
 every group's weak-redundancy abscissa, every digest) is free, so hosted
@@ -34,14 +34,13 @@ SCHEME_BASELINE4 = "baseline4"
 SCHEME_SSS5 = "sss5"
 
 ENUMERATION_GROUP_LIMIT = 16
-PLACEMENT_SWEEP_LIMIT = 1_000_000
 
 _GROUP_SIZE = 4  # the closed-form expressions below are for 4-member groups
 
 
 def _check_q(q: float):
     if not 0.0 <= q <= 1.0:
-        raise DomainError(f"compromise probability must be in [0, 1], got {q}")
+        raise ConfigurationError(f"compromise probability must be in [0, 1], got {q}")
 
 
 def p1_exact(q: float) -> float:
@@ -78,7 +77,7 @@ class CompromiseModel:
     def __post_init__(self):
         _check_q(self.q)
         if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
 
 
 def mc_group_compromise(model: CompromiseModel, scheme: str) -> float:
@@ -203,7 +202,7 @@ class CompromiseResult:
     """Smallest secret-recovering compromised set under one placement.
 
     holders maps each group with an external sub-share to the node that
-    hosts it: the state's own placement, or the one a sweep found.
+    hosts it: the state's own placement, or the canonical one of a sweep.
     """
 
     size: int
@@ -295,33 +294,21 @@ def admissible_placements(
     """Every assignment of external-sub-share holders outside their group.
 
     With anti_reciprocal set, assignments where two groups host each
-    other's sub-share are dropped.
+    other's sub-share are dropped.  Exponential in m and called by no
+    command: it is the exhaustive reference for the closed-form sweep.
     """
     members = {g: set(rec.spec.member_ids) for g, rec in state.groups.items()}
     group_ids = sorted(state.groups)
     candidates = [
         [i for i in sorted(state.nodes) if i not in members[g]] for g in group_ids
     ]
-    count = 1
-    for c in candidates:
-        count *= len(c)
-    if count > PLACEMENT_SWEEP_LIMIT:
-        raise EnumerationLimitError(
-            f"placement sweep refused: {count} placements exceed "
-            f"{PLACEMENT_SWEEP_LIMIT}"
-        )
     placements = []
     for choice in product(*candidates):
         holders = dict(zip(group_ids, choice))
-        if anti_reciprocal:
-            mutual = False
-            for g in group_ids:
-                h = state.group_of[holders[g]]
-                if holders[h] in members[g]:
-                    mutual = True
-                    break
-            if mutual:
-                continue
+        if anti_reciprocal and any(
+            holders[state.group_of[holders[g]]] in members[g] for g in group_ids
+        ):
+            continue
         placements.append(holders)
     return placements
 
@@ -329,24 +316,30 @@ def admissible_placements(
 def min_compromise_over_placements(
     state: SystemState, anti_reciprocal: bool = True
 ) -> CompromiseResult:
-    """Minimum compromise size over every admissible placement.
+    """Minimum compromise size over every admissible placement, in closed form.
 
-    Answers how well the placement policy can possibly do: the smallest
-    compromised set that recovers the secret under any placement the policy
-    allows.  Exact per placement; the first placement to reach the minimum
-    is returned with its witness.
+    t bonus groups cost (gamma-1)*t members, plus one outside holder unless
+    their holders close a cycle among them, which needs c = 3 groups under
+    anti_reciprocal (no mutual pair), else 2.  So the minimum is min over
+    t <= m of max((gamma-1)*t + out(t), k - t), out(t) = 1 for 0 < t < c,
+    else 0.  One canonical placement reaches it at the least such t: each
+    group's sub-share on the first member of the next group round all m,
+    except that group t points back to group 1 when t >= c.  The exact
+    search under that placement gives the witness.
     """
-    for rec in state.groups.values():
-        if rec.x_lambda is None:
-            raise ConfigurationError(
-                "placement sweep needs a system with repair redundancy"
-            )
+    if any(rec.x_lambda is None for rec in state.groups.values()):
+        raise ConfigurationError(
+            "placement sweep needs a system with repair redundancy"
+        )
     _holders(state)  # the same state checks as min_compromise_search
-    best = None
-    for holders in admissible_placements(state, anti_reciprocal):
-        result = _min_under(state, holders)
-        if best is None or result.size < best.size:
-            best = result
-    if best is None:
+    gamma, k, m = state.gamma, state.k, state.m
+    c = 3 if anti_reciprocal else 2
+    if m < c:
         raise ConfigurationError("no admissible placement to sweep")
-    return best
+    best = min(range(m + 1), key=lambda t: max((gamma - 1) * t + (0 < t < c), k - t))
+    group_ids = sorted(state.groups)
+    holders = {}
+    for i, g in enumerate(group_ids):
+        host = 0 if i + 1 == best >= c else (i + 1) % m
+        holders[g] = state.groups[group_ids[host]].spec.member_ids[0]
+    return _min_under(state, holders)

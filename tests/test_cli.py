@@ -296,6 +296,29 @@ class TestCorruptState:
         assert "sideways" in err
 
 
+    @pytest.mark.parametrize("x", ["1000", "0"])
+    def test_participant_x_other_than_its_id_exits_three(self, state_dir, capsys, x):
+        # setup assigns x = id; with any other x, recover would interpolate
+        # through a wrong point and print a wrong secret
+        edit_registry(state_dir, lambda raw: raw["participants"][0].update(x=x))
+        code, out, err = run(
+            capsys, "recover", "--participants", *map(str, range(1, 9)),
+            state_dir=state_dir,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert "registry.json" in err
+
+    @pytest.mark.parametrize("modulus", [4, 2**31, 13.0])
+    def test_modulus_not_prime_exits_three(self, state_dir, capsys, modulus):
+        edit_registry(state_dir, lambda raw: raw.update(modulus=modulus))
+        code, out, err = self.recover_all(capsys, state_dir)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert "registry.json" in err
+
     @pytest.mark.parametrize(
         "command",
         [["recover", "--participants", *ALL_NODES], ["attack", "--mode", "enum"]],
@@ -524,6 +547,20 @@ class TestAttack:
         code, _, err = run(capsys, "attack", "--mode", "mc", "--q", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mode", "analytic", "--q", "1.5"],
+            ["--mode", "mc", "--seed", "1", "--trials", "0"],
+        ],
+        ids=["q", "trials"],
+    )
+    def test_out_of_range_option_exits_two(self, capsys, flags):
+        code, out, err = run(capsys, "attack", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration:")
+
     def test_mc_record_contents(self, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "attack", "--mode", "mc",
@@ -555,6 +592,19 @@ class TestAttack:
         )
         assert code == 0
         assert "min_compromise_size=7" in out
+
+    def test_enum_anti_reciprocal_sweep_on_wide_groups(self, tmp_path, capsys):
+        directory = tmp_path / "wide"
+        run(capsys, "setup", "--k", "128", "--n", "256", "--m", "4",
+            "--secret", "1", "--seed", "1", state_dir=directory)
+        code, out, _ = run(
+            capsys, "--format", "json", "attack", "--mode", "enum",
+            "--anti-reciprocal", state_dir=directory,
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["min_compromise_size"] == 127
+        assert len(record["witness_subset"]) == 127
 
     def test_enum_bare_threshold(self, tmp_path, capsys):
         directory = tmp_path / "bare"

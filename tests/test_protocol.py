@@ -291,6 +291,31 @@ class TestRepair:
             assert restored == original_sub
             assert recover_secret(state, range(1, 9)) == 42
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        system_shapes(max_n=48).filter(lambda s: s[3] != protocol.PLACEMENT_NONE),
+        st.data(),
+    )
+    def test_one_failure_per_group_repairs_exactly(self, shape, data):
+        """One member of every group fails at once, and every repair brings
+        each node file back byte for byte.  A failed holder's hosted
+        sub-shares stay lost (there is no re-placement), so each failed
+        member is drawn among the group's members that host nothing."""
+        k, n, m, placement, seed = shape
+        state = system_setup(k, n, m, secret=seed, seed=seed, placement=placement)
+        before = {i: node_store_dict(node) for i, node in state.nodes.items()}
+        failed = []
+        for rec in state.groups.values():
+            idle = [i for i in rec.spec.member_ids if not state.nodes[i].hosted]
+            if idle:
+                failed.append(data.draw(st.sampled_from(idle)))
+        assert failed  # m holders cannot cover every member of m groups
+        for node_id in failed:
+            mark_failed(state, node_id)
+        for node_id in failed:
+            request_repair(state, state.nodes[node_id].identity, node_id)
+        assert {i: node_store_dict(node) for i, node in state.nodes.items()} == before
+
     def test_trace_shape(self, toy_system):
         mark_failed(toy_system, 3)
         _, _, trace = request_repair(toy_system, toy_system.nodes[3].identity, 3)

@@ -92,6 +92,21 @@ class ReferenceCounter:
         raise AssertionError("the full node set always recovers")
 
 
+def reference_sweep(state, placements):
+    """The placement sweep the closed form replaced: the least exact minimum
+    over the given placements, all admissible ones in the tests."""
+    return min(_min_under(state, holders).size for holders in placements)
+
+
+def sweep_grid(max_n, max_placements):
+    """Every (k, n, m) with n <= max_n, at least two groups and at most
+    max_placements candidate placements, (n - gamma)^m."""
+    for n in range(4, max_n + 1):
+        for m in range(2, n // 2 + 1):
+            if n % m == 0 and (n - n // m) ** m <= max_placements:
+                yield from ((k, n, m) for k in range(1, n + 1))
+
+
 def check_against_reference(state, result, holders, ref=None):
     """Size equals the brute force; the witness has that size and recovers."""
     ref = ref or ReferenceCounter(state)
@@ -295,6 +310,18 @@ class TestMinCompromise:
         with pytest.raises(EnumerationLimitError):
             min_compromise_search(state)
 
+    def test_sweep_answers_wide_groups(self):
+        """(128, 256, 4): over 10^9 candidate placements, which the sweep
+        never lists; the paper's k-1 and k-2."""
+        state = protocol.system_setup(128, 256, 4, secret=1, seed=1)
+        ref = ReferenceCounter(state)
+        for anti_reciprocal, size in ((True, 127), (False, 126)):
+            result = min_compromise_over_placements(state, anti_reciprocal)
+            assert result.size == size
+            assert len(result.witness) == size
+            assert ref.recovers(result.witness, result.holders)
+            assert not ref.recovers(sorted(result.witness)[1:], result.holders)
+
     def test_sweep_needs_redundancy(self, bare_system):
         with pytest.raises(ConfigurationError):
             min_compromise_over_placements(bare_system)
@@ -324,6 +351,26 @@ class TestGroupSolverExactness:
         result = min_compromise_over_placements(toy_system, anti_reciprocal)
         assert result.holders in admissible_placements(toy_system, anti_reciprocal)
         check_against_reference(toy_system, result, result.holders)
+
+    @pytest.mark.parametrize("anti_reciprocal", [True, False])
+    def test_closed_form_sweep_matches_every_placement(self, anti_reciprocal):
+        """The closed form against the exhaustive sweep on 120 shapes: equal
+        sizes, the same refusals, an admissible canonical placement, and a
+        witness that recovers under it."""
+        cases = list(sweep_grid(max_n=16, max_placements=5000))
+        assert len(cases) == 120
+        for k, n, m in cases:
+            state = protocol.system_setup(k, n, m, secret=1, seed=k)
+            placements = admissible_placements(state, anti_reciprocal)
+            if not placements:
+                with pytest.raises(ConfigurationError):
+                    min_compromise_over_placements(state, anti_reciprocal)
+                continue
+            result = min_compromise_over_placements(state, anti_reciprocal)
+            assert result.size == reference_sweep(state, placements), (k, n, m)
+            assert result.holders in placements
+            assert len(result.witness) == result.size
+            assert ReferenceCounter(state).recovers(result.witness, result.holders)
 
     @pytest.mark.parametrize("placement", protocol.PLACEMENT_MODES)
     def test_sixteen_node_states(self, placement):
