@@ -23,12 +23,29 @@ DEFAULT_MODULUS = (1 << 31) - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# (bound, count): the first `count` bases of _MR_BASES decide every n below
+# bound exactly; each bound is the least strong pseudoprime to those bases.
+_MR_PREFIXES = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+)
+
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test with the first twelve prime bases.
+    """Miller-Rabin primality test over a prefix of the first twelve primes.
 
-    Deterministic for n < 3.3 * 10^24, far beyond the 64-bit moduli this
-    package targets.  Anything but an int (a float or a bool) is not prime.
+    Each n is tested with the shortest prefix of _MR_BASES that is known
+    to be deterministic at its size: bases 2, 3, 5 and 7 for n below
+    3,215,031,751, which covers the default modulus, and all twelve above
+    3.8 * 10^18.  Twelve bases are deterministic for n < 3.18 * 10^23, far
+    beyond the 64-bit moduli this package targets.  Anything but an int (a
+    float or a bool) is not prime.
     """
     if type(n) is not int or n < 2:
         return False
@@ -37,12 +54,17 @@ def is_probable_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    bases = _MR_BASES
+    for bound, count in _MR_PREFIXES:
+        if n < bound:
+            bases = _MR_BASES[:count]
+            break
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -1,9 +1,15 @@
 """Command-line interface: flows, output formats, exit-code contract."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrshare import protocol
 from lrshare.cli import main
@@ -216,6 +222,16 @@ class TestCorruptState:
         assert err.startswith("io-error:")
         assert "node_02.json" in err
 
+    def test_invalid_utf8_node_file_exits_three(self, state_dir, capsys):
+        path = state_dir / "nodes" / "node_07.json"
+        path.write_bytes(path.read_bytes().replace(b'"y": "', b'"y": "\xff', 1))
+        code, out, err = run(capsys, "fail", "--node", "1", state_dir=state_dir)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert str(path) in err
+        assert "UnicodeDecodeError" in err
+
     def test_partial_recover_checks_its_participants(self, state_dir, capsys):
         eight = [str(i) for i in range(1, 9)]
         path = edit_node(state_dir, 3, lambda raw: raw.update(y=str(P)))
@@ -376,6 +392,59 @@ def test_group_members_must_be_the_participants(tmp_path, capsys, placement, mem
         assert out == ""
         assert err.startswith("io-error:")
         assert "registry.json" in err
+
+
+@pytest.fixture(scope="module")
+def toy_state_files(tmp_path_factory):
+    """Every file of a fresh TOY state, by path relative to the state directory."""
+    directory = tmp_path_factory.mktemp("toy") / "state"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--state-dir", str(directory), "setup", *TOY_FLAGS]) == 0
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*.json")}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    corrupt=st.integers(1, 12),
+    offset=st.integers(1, 11),
+    truncate=st.booleans(),
+    data=st.data(),
+)
+def test_corrupt_node_file_keeps_exit_contract(
+    toy_state_files, corrupt, offset, truncate, data
+):
+    """One node file truncated or one byte flipped: fail and repair of another
+    node exit 0, 3 or 4 and never raise; bytes that no longer parse as JSON
+    exit 3 naming the file."""
+    node = (corrupt + offset - 1) % 12 + 1  # never the corrupted node
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for relative, content in toy_state_files.items():
+            (directory / relative).parent.mkdir(exist_ok=True)
+            (directory / relative).write_bytes(content)
+        path = directory / "nodes" / f"node_{corrupt:02d}.json"
+        raw = path.read_bytes()
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        if truncate:
+            bad = raw[:at]
+        else:
+            mask = data.draw(st.integers(1, 255), label="mask")
+            bad = raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1 :]
+        path.write_bytes(bad)
+        try:
+            json.loads(bad.decode())
+            parses = True
+        except ValueError:
+            parses = False
+        for command in ("fail", "repair"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--state-dir", tmp, command, "--node", str(node)])
+            assert code in (0, 3, 4), (command, code, out.getvalue(), err.getvalue())
+            if not parses:
+                assert code == 3
+                assert err.getvalue().startswith("io-error:")
+                assert str(path) in err.getvalue()
 
 
 def read_tree(state_dir):

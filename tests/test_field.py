@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrshare.errors import DomainError
-from lrshare.field import DEFAULT_MODULUS, PrimeField, is_probable_prime, trim_poly
+from lrshare.field import (
+    _MR_BASES,
+    DEFAULT_MODULUS,
+    PrimeField,
+    is_probable_prime,
+    trim_poly,
+)
 
 # GF(13), the production Mersenne prime, and the 61-bit Mersenne prime.
 REFERENCE_PRIMES = (13, 2**31 - 1, 2**61 - 1)
@@ -60,7 +66,79 @@ def _largest_point_set(p):
     return p, [(x, rng.randrange(p)) for x in rng.sample(range(p), MAX_POINTS)]
 
 
+def strong_probable_prime(n, bases):
+    """Miller-Rabin rounds alone: n odd, above every base, passes each one."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def twelve_base_prime(n):
+    """The reference: trial division by the twelve bases, then all twelve rounds."""
+    if n < 2:
+        return False
+    if n in _MR_BASES:
+        return True
+    if any(n % p == 0 for p in _MR_BASES):
+        return False
+    return strong_probable_prime(n, _MR_BASES)
+
+
+# The least strong pseudoprime to each prefix of the bases, the length of
+# the longest prefix it passes, and its factors.
+STRONG_PSEUDOPRIMES = (
+    (2047, 1, (23, 89)),
+    (1373653, 2, (829, 1657)),
+    (25326001, 3, (2251, 11251)),
+    (3215031751, 4, (151, 751, 28351)),
+    (2152302898747, 5, (6763, 10627, 29947)),
+    (3474749660383, 6, (1303, 16927, 157543)),
+    (341550071728321, 8, (10670053, 32010157)),
+    (3825123056546413051, 9, (149491, 747451, 34233211)),
+)
+
+
 class TestPrimality:
+    @pytest.mark.parametrize("n, bases, factors", STRONG_PSEUDOPRIMES)
+    def test_rejects_least_strong_pseudoprime_of_each_prefix(self, n, bases, factors):
+        product = 1
+        for factor in factors:
+            product *= factor
+        assert product == n
+        # n passes every round of the prefix below it, so only a longer
+        # prefix can reject it
+        assert strong_probable_prime(n, _MR_BASES[:bases])
+        assert not is_probable_prime(n)
+
+    def test_agrees_with_twelve_bases(self):
+        rng = random.Random(2024)
+        cases = set(range(-2, 20_000))
+        for n, _, _ in STRONG_PSEUDOPRIMES:
+            cases.update(range(n - 300, n + 301))
+        for bits in (31, 32, 42, 48, 61, 64, 70):
+            cases.update(rng.getrandbits(bits) | 1 for _ in range(300))
+        for bits in (16, 24, 31):
+            primes = [q for q in (rng.getrandbits(bits) | 1 for _ in range(400))
+                      if twelve_base_prime(q)]  # fmt: skip
+            cases.update(a * b for a, b in zip(primes, primes[1:]))
+        primes_seen = 0
+        for n in sorted(cases):
+            expected = twelve_base_prime(n)
+            assert is_probable_prime(n) == expected, n
+            primes_seen += expected
+        assert primes_seen > 2_000
+
     def test_small_primes(self):
         for p in (2, 3, 5, 13, 31, 2**31 - 1):
             assert is_probable_prime(p)

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import os
 import tempfile
 from itertools import combinations, product
 
@@ -21,6 +22,7 @@ from lrshare.errors import (
     InsufficientSharesError,
     IntegrityError,
     PlacementError,
+    StateFileError,
 )
 from lrshare.protocol import (
     PLACEMENT_ANTI_RECIPROCAL,
@@ -531,3 +533,60 @@ class TestPersistence:
         save_state(toy_system, tmp_path)
         loaded = load_state(tmp_path)
         assert loaded.nodes[8].primary == toy_system.nodes[8].primary
+
+    def test_node_file_over_64_kib_loads(self, toy_system, tmp_path):
+        save_state(toy_system, tmp_path)
+        path = tmp_path / "nodes" / "node_02.json"
+        text = path.read_text()
+        path.write_text(text[:1] + " " * (1 << 17) + text[1:] + "\n" * 1000)
+        assert path.stat().st_size > 1 << 17
+        loaded = load_state(tmp_path)
+        assert loaded.nodes[2] == toy_system.nodes[2]
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestDescriptors:
+    """Every descriptor load_state and save_state open is closed, on error too."""
+
+    def test_full_load_and_save(self, toy_system, tmp_path):
+        save_state(toy_system, tmp_path)
+        before = open_fds()
+        load_state(tmp_path)
+        save_state(toy_system, tmp_path)
+        save_state(toy_system, tmp_path, [3])
+        assert open_fds() == before
+
+    def test_load_failing_on_node_five(self, toy_system, tmp_path):
+        save_state(toy_system, tmp_path)
+        path = tmp_path / "nodes" / "node_05.json"
+        before = open_fds()
+        path.write_text('{"id": 5, "y": ')
+        with pytest.raises(StateFileError, match="node_05.json"):
+            load_state(tmp_path)
+        assert open_fds() == before
+        path.unlink()
+        with pytest.raises(FileNotFoundError) as caught:
+            load_state(tmp_path)
+        # the file is opened by name in the nodes directory; the error names it in full
+        assert caught.value.filename == str(path)
+        assert str(path) in str(caught.value)
+        assert open_fds() == before
+
+    def test_save_failing_midway(self, toy_system, tmp_path, monkeypatch):
+        real = protocol.node_store_dict
+
+        def crash_on_six(node):
+            if node.identity.node_id == 6:
+                raise OSError("disk gone")
+            return real(node)
+
+        monkeypatch.setattr(protocol, "node_store_dict", crash_on_six)
+        before = open_fds()
+        with pytest.raises(OSError, match="disk gone"):
+            save_state(toy_system, tmp_path)
+        assert open_fds() == before
+        assert not (tmp_path / "registry.json").exists()
