@@ -185,6 +185,41 @@ class PrimeField:
             quotients = [(mt + xi * q) % p for xi, q in zip(xs, quotients)]
         return trim_poly(result)
 
+    def interpolate_at(
+        self, points: list[tuple[int, int]], targets: list[int]
+    ) -> list[int]:
+        """Value at each target of the polynomial poly_interpolate(points) returns.
+
+        No coefficient list is built: with s_i = y_i * w_i (w_i the
+        barycentric weights), one pass over the points per target sums
+        s_i * prod_{j != i} (t - x_j), which is the Lagrange form at t.
+        That is O(d^2) for the weights plus 3d products per target.  Nothing
+        is divided by t - x_i, so any integer target works, including one
+        of the x values, where the result is its y.
+
+        Raises DomainError for an empty point list or duplicate x values.
+        """
+        if not points:
+            raise DomainError("interpolation needs at least one point")
+        p = self.modulus
+        xs = [x % p for x, _ in points]
+        if len(set(xs)) != len(xs):
+            raise DomainError("interpolation points must have distinct x values")
+        weights = self.barycentric_weights(xs)
+        scales = [y % p * w % p for (_, y), w in zip(points, weights)]
+        values = []
+        for t in targets:
+            t %= p
+            # num = sum of s_i * prod (t - x_j) over the points so far, j != i;
+            # den = prod (t - x_j) over the points so far
+            num, den = 0, 1
+            for xi, s in zip(xs, scales):
+                d = t - xi
+                num = (num * d + s * den) % p
+                den = den * d % p
+            values.append(num)
+        return values
+
     def poly_random(
         self,
         degree: int,

@@ -17,6 +17,10 @@ members and the last one is placed outside the group by the protocol
 layer.  Repairing one lost member share takes the gamma-1 surviving member
 points plus the weak-redundancy point, so repair never leaves the group
 except for that single external sub-share.
+
+Only setup builds a coefficient list (build_repair_function, for the weak
+point's value).  Repair and sub-share restore need one value each, which
+PrimeField.interpolate_at computes straight from the points.
 """
 
 from __future__ import annotations
@@ -26,7 +30,15 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError, InsufficientPointsError
 from .field import PrimeField
-from .shamir import Share, SharingParams, reconstruct_polynomial, split
+# reconstruct_polynomial is unused here but bound on purpose: the
+# benchmark's tracer (bench/tracer.py) wraps groups.reconstruct_polynomial.
+from .shamir import (  # noqa: F401
+    Share,
+    SharingParams,
+    _checked_sorted,
+    reconstruct_polynomial,
+    split,
+)
 
 
 @dataclass(frozen=True)
@@ -123,6 +135,12 @@ def setup_sss(
     return split(field, sub_secret, params, rng)
 
 
+def _value_at(field: PrimeField, points: list[Share], gamma: int, x: int) -> int:
+    """Value at x of the polynomial through the first gamma points in x order."""
+    first = _checked_sorted(points)[:gamma]
+    return field.interpolate_at([(s.x, s.y) for s in first], [x])[0]
+
+
 def repair_share(
     field: PrimeField,
     surviving: list[Share],
@@ -132,10 +150,12 @@ def repair_share(
 ) -> int:
     """Recompute the exact y of a failed member share.
 
-    Interpolates gamma points (the surviving member shares plus the weak
-    redundancy) and evaluates at the failed x.  Repair must return the
-    original point exactly; a fresh substitute share would break the global
-    sharing, whose polynomial the group cannot see.
+    Evaluates, at the failed x, the polynomial through gamma points (the
+    surviving member shares plus the weak redundancy, the first gamma in x
+    order) with PrimeField.interpolate_at: O(gamma^2) products and no
+    coefficient list.  Repair must return the original point exactly; a
+    fresh substitute share would break the global sharing, whose
+    polynomial the group cannot see.
 
     Raises InsufficientPointsError when fewer than gamma points are
     available, i.e. more than one member of the group is missing at once.
@@ -146,8 +166,7 @@ def repair_share(
             f"repair needs {gamma} points, got {len(points)}"
             " (more than one failure in this group)"
         )
-    poly = reconstruct_polynomial(field, points, gamma)
-    return field.poly_eval(poly, failed_x)
+    return _value_at(field, points, gamma, failed_x)
 
 
 def restore_subshare(
@@ -159,13 +178,13 @@ def restore_subshare(
     """Rebuild a lost sub-share of the group's second sharing.
 
     With threshold gamma the sub-sharing polynomial has degree gamma-1, so
-    any gamma sub-shares determine it; the failed position is re-evaluated
-    on it.  Without this step a repaired node would come back without its
-    sub-share and the group could not survive the next failure.
+    any gamma sub-shares determine it; its value at the failed position is
+    computed from the first gamma in x order with PrimeField.interpolate_at.
+    Without this step a repaired node would come back without its sub-share
+    and the group could not survive the next failure.
     """
     if len(subshares) < gamma:
         raise InsufficientPointsError(
             f"restore needs {gamma} sub-shares, got {len(subshares)}"
         )
-    poly = reconstruct_polynomial(field, subshares, gamma)
-    return Share(failed_sss_x, field.poly_eval(poly, failed_sss_x))
+    return Share(failed_sss_x, _value_at(field, subshares, gamma, failed_sss_x))

@@ -707,8 +707,20 @@ def save_state(
     _write_file(registry, registry, _dump(registry_dict(state)).encode())
 
 
+def _element(text: str) -> int:
+    """Parse a field element written by _fe; only its exact str() form passes.
+
+    int() alone also takes " 12", "+12", "1_2", "012" and non-ASCII digits,
+    so an edited value could still parse to a different number.
+    """
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not a canonical decimal field element")
+    return value
+
+
 def _share(raw: dict) -> Share:
-    return Share(int(raw["x"]), int(raw["y"]))
+    return Share(_element(raw["x"]), _element(raw["y"]))
 
 
 def load_state(
@@ -729,14 +741,15 @@ def load_state(
     UTF-8 and parsed; every descriptor is closed on every path out.  An
     OSError names the file's full path.  This needs POSIX dir_fd support.
 
-    A file that is not UTF-8 or not valid JSON, lacks an entry, names an
-    unknown placement mode or disagrees with the registry raises
-    StateFileError, as does a registry whose modulus is not a prime, whose
-    participants' x are not their ids, whose k, n and m are not integers
-    with 1 <= k <= n describing its n participants in m groups of n/m
-    members, or whose groups together do not list every participant
-    exactly once; a stored share value outside [0, p) raises DomainError.
-    Both name the file.
+    A file that is not UTF-8 or not valid JSON, lacks an entry, spells a
+    field element (an x, y, x_lambda or sss_x) other than as the decimal
+    str() that save_state writes, names an unknown placement mode or
+    disagrees with the registry raises StateFileError, as does a registry
+    whose modulus is not a prime, whose participants' x are not their ids,
+    whose k, n and m are not integers with 1 <= k <= n describing its n
+    participants in m groups of n/m members, or whose groups together do
+    not list every participant exactly once; a stored share value outside
+    [0, p) raises DomainError.  Both name the file.
     A node file agrees with the registry when its id is the node it
     is loaded as, its own sub-share (held exactly while the node is alive
     in a system with redundancy) sits at its x in its group's sss_x, and
@@ -766,7 +779,7 @@ def load_state(
         participants = {}
         hw_ids = {}
         for entry in registry["participants"]:
-            node_id, x = entry["id"], int(entry["x"])
+            node_id, x = entry["id"], _element(entry["x"])
             if x != node_id:
                 raise StateFileError(f"{path}: participant {node_id!r} has x={x}")
             participants[node_id] = x
@@ -778,13 +791,15 @@ def load_state(
         external_x = {}  # group digest -> the x of its external sub-share
         for entry in registry["groups"]:
             spec = GroupSpec(group_id=entry["id"], member_ids=tuple(entry["members"]))
-            sss_x = tuple(int(x) for x in entry["sss_x"])
+            sss_x = tuple(map(_element, entry["sss_x"]))
             own_sub_x.update(zip(spec.member_ids, sss_x))
             for member in spec.member_ids:
                 group_of[member] = spec.group_id
             if sss_x:
                 external_x[entry["digest_hex"]] = sss_x[-1]
-            x_lambda = None if entry["x_lambda"] is None else int(entry["x_lambda"])
+            x_lambda = (
+                None if entry["x_lambda"] is None else _element(entry["x_lambda"])
+            )
             group_records[spec.group_id] = GroupRecord(
                 spec, x_lambda, sss_x, entry["digest_hex"]
             )
@@ -820,7 +835,7 @@ def load_state(
             primary = (
                 None
                 if raw["y"] is None
-                else Share(participants[node_id], int(raw["y"]))
+                else Share(participants[node_id], _element(raw["y"]))
             )
             sub = raw["sss_subshare"]
             subshare = None if sub is None else _share(sub)

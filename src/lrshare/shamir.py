@@ -89,51 +89,31 @@ def _checked_sorted(shares: list[Share]) -> list[Share]:
     return ordered
 
 
-def _lagrange_zero_weights(field: PrimeField, xs: list[int]) -> list[int]:
-    """Lagrange basis values at zero, L_i(0) = w_i * prod_{j != i} (-x_j).
-
-    w_i are the barycentric weights; the products over j != i come from
-    prefix and suffix products in O(k).
-    """
-    p = field.modulus
-    weights = field.barycentric_weights(xs)
-    suffix = [1] * (len(xs) + 1)
-    for i in reversed(range(len(xs))):
-        suffix[i] = suffix[i + 1] * -xs[i] % p
-    result = []
-    prefix = 1
-    for xi, w, after in zip(xs, weights, suffix[1:]):
-        result.append(w * prefix % p * after % p)
-        prefix = prefix * -xi % p
-    return result
-
-
 def recover(field: PrimeField, shares: list[Share], k: int) -> int:
     """Recover the secret f(0) from at least k shares.
 
     Uses the k shares that come first in x order; any surplus shares are
     cross-checked against the polynomial those k define and a mismatch
-    raises CorruptShareError.  The result equals evaluating
-    poly_interpolate over the first k shares at zero: with exactly k
-    shares it is summed from the Lagrange weights at zero, with surplus
-    shares it is the constant term of the interpolated polynomial.
+    raises CorruptShareError.  The secret and every surplus share's
+    expected value come from one interpolate_at call over the first k
+    shares, at zero and at the surplus x values; no coefficient list is
+    built.
     """
     if len(shares) < k:
         raise InsufficientSharesError(
             f"need at least {k} shares, got {len(shares)}"
         )
     ordered = _checked_sorted(shares)
-    first = ordered[:k]
-    if len(ordered) == k:
-        weights = _lagrange_zero_weights(field, [s.x for s in first])
-        return sum(s.y * w for s, w in zip(first, weights)) % field.modulus
-    poly = field.poly_interpolate([(s.x, s.y) for s in first])
-    for extra in ordered[k:]:
-        if field.poly_eval(poly, extra.x) != extra.y:
+    first, extras = ordered[:k], ordered[k:]
+    secret, *expected = field.interpolate_at(
+        [(s.x, s.y) for s in first], [0, *(s.x for s in extras)]
+    )
+    for extra, value in zip(extras, expected):
+        if value != extra.y:
             raise CorruptShareError(
                 f"share at x={extra.x} is inconsistent with the first {k}"
             )
-    return poly[0]
+    return secret
 
 
 def reconstruct_polynomial(field: PrimeField, shares: list[Share], k: int) -> list[int]:

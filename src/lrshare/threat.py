@@ -178,15 +178,15 @@ def attacker_closure(state: SystemState, compromised) -> AttackerKnowledge:
                 if mid in known_primary
             ]
             if group_id in derived and gamma - 1 <= len(member_points) < gamma:
-                poly = field.poly_interpolate(
-                    member_points + [(rec.x_lambda, derived[group_id])]
+                missing = [
+                    mid for mid in rec.spec.member_ids if mid not in known_primary
+                ]
+                values = field.interpolate_at(
+                    member_points + [(rec.x_lambda, derived[group_id])],
+                    [state.participants[mid] for mid in missing],
                 )
-                for mid in rec.spec.member_ids:
-                    if mid not in known_primary:
-                        known_primary[mid] = field.poly_eval(
-                            poly, state.participants[mid]
-                        )
-                        changed = True
+                known_primary.update(zip(missing, values))
+                changed = True
 
     return AttackerKnowledge(
         compromised=comp,

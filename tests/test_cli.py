@@ -374,6 +374,82 @@ class TestCorruptState:
         assert "registry.json" in err
 
 
+# Spellings int() reads as the same number but save_state never writes.
+NON_CANONICAL = {
+    "leading-space": lambda text: " " + text,
+    "trailing-newline": lambda text: text + "\n",
+    "plus-sign": lambda text: "+" + text,
+    "underscore": lambda text: text[0] + "_" + text[1:] if len(text) > 1 else "0_" + text,
+    "leading-zero": lambda text: "0" + text,
+    "fullwidth": lambda text: text.translate({ord("0") + d: 0xFF10 + d for d in range(10)}),
+    "json-number": int,
+}
+
+
+def _hosted_subshare(raw):
+    return raw["hosted"][0]["subshare"]
+
+
+# (file, where the element sits in it), for each decimal field element saved
+ELEMENT_FIELDS = {
+    "y": (2, lambda raw: (raw, "y")),
+    "sss_subshare-x": (2, lambda raw: (raw["sss_subshare"], "x")),
+    "sss_subshare-y": (2, lambda raw: (raw["sss_subshare"], "y")),
+    "hosted-x": ("holder", lambda raw: (_hosted_subshare(raw), "x")),
+    "hosted-y": ("holder", lambda raw: (_hosted_subshare(raw), "y")),
+    "participant-x": ("registry", lambda raw: (raw["participants"][11], "x")),
+    "x_lambda": ("registry", lambda raw: (raw["groups"][1], "x_lambda")),
+    "sss_x": ("registry", lambda raw: (raw["groups"][1]["sss_x"], 2)),
+}
+
+
+class TestNonCanonicalElements:
+    """Every decimal field element must be spelled exactly as str() writes it;
+    any other spelling int() accepts exits 3 naming the file."""
+
+    @pytest.mark.parametrize("form", NON_CANONICAL.values(), ids=NON_CANONICAL.keys())
+    @pytest.mark.parametrize("field", ELEMENT_FIELDS.values(), ids=ELEMENT_FIELDS.keys())
+    def test_rejected(self, state_dir, capsys, field, form):
+        where, locate = field
+        if where == "registry":
+            path = state_dir / "registry.json"
+        else:
+            node = hosting_node(state_dir) if where == "holder" else where
+            path = state_dir / "nodes" / f"node_{node:02d}.json"
+        raw = json.loads(path.read_text())
+        owner, key = locate(raw)
+        text = owner[key]
+        owner[key] = form(text)
+        assert int(owner[key]) == int(text)  # the same number, spelled otherwise
+        path.write_text(json.dumps(raw))
+        code, out, err = run(
+            capsys, "recover", "--participants", *ALL_NODES, state_dir=state_dir
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert str(path) in err
+
+    def test_space_for_a_digit_no_longer_recovers_a_wrong_secret(self, state_dir, capsys):
+        # int(" 100137404") parses, so this one-character edit used to make
+        # recover print 82712631 with exit 0
+        eight = [str(i) for i in range(1, 9)]
+        assert run(capsys, "recover", "--participants", *eight, state_dir=state_dir)[:2] == (
+            0,
+            "42\n",
+        )
+
+        def blank_first_digit(raw):
+            assert raw["y"] == "1100137404"
+            raw["y"] = " 100137404"
+
+        path = edit_node(state_dir, 2, blank_first_digit)
+        code, out, err = run(capsys, "recover", "--participants", *eight, state_dir=state_dir)
+        assert (code, out) == (3, "")
+        assert err.startswith("io-error:")
+        assert str(path) in err
+
+
 @pytest.mark.parametrize("placement", ["none", "random"])
 @pytest.mark.parametrize("member", [99, 1], ids=["unknown", "twice"])
 def test_group_members_must_be_the_participants(tmp_path, capsys, placement, member):

@@ -260,6 +260,72 @@ class TestInterpolate:
         assert len(calls) == 1
 
 
+# Primes for the point-evaluation cross-check; the last is 2^61 - 1.
+EVAL_PRIMES = (13, 101, 2**31 - 1, 2**61 - 1)
+EVAL_MAX_POINTS = 40
+
+
+@st.composite
+def evaluation_cases(draw):
+    """(prime, points, targets): up to EVAL_MAX_POINTS points with distinct x
+    mod the prime, each x and y shifted by a random multiple of it, and
+    targets that include 0, every x, values >= p and negative values."""
+    p = draw(st.sampled_from(EVAL_PRIMES))
+    size = draw(st.integers(1, min(EVAL_MAX_POINTS, p)))
+    residues = draw(
+        st.lists(st.integers(0, p - 1), min_size=size, max_size=size, unique=True)
+    )
+    shift = st.integers(-2, 2).map(lambda c: c * p)
+    xs = [x + draw(shift) for x in residues]
+    ys = [draw(st.integers(0, p - 1)) + draw(shift) for _ in xs]
+    anywhere = st.integers(-3 * p, 3 * p)
+    extra = draw(st.lists(anywhere, max_size=6))
+    targets = [0, p, -1, -p - 1, *xs, *(x + p for x in xs), *extra]
+    return p, list(zip(xs, ys)), targets
+
+
+class TestInterpolateAt:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(evaluation_cases())
+    def test_matches_reference_polynomial(self, case):
+        p, points, targets = case
+        field = PrimeField(p)
+        poly = reference_interpolate(field, points)
+        assert field.interpolate_at(points, targets) == [
+            field.poly_eval(poly, t) for t in targets
+        ]
+
+    def test_value_at_a_point_is_its_y(self, big_field, rng):
+        xs = rng.sample(range(1, 10**6), 40)
+        ys = [rng.randrange(big_field.modulus) for _ in xs]
+        assert big_field.interpolate_at(list(zip(xs, ys)), xs) == ys
+
+    def test_no_targets(self, gf13):
+        assert gf13.interpolate_at([(1, 5), (2, 7)], []) == []
+
+    def test_empty_rejected(self, gf13):
+        with pytest.raises(DomainError):
+            gf13.interpolate_at([], [0])
+
+    @pytest.mark.parametrize("p", EVAL_PRIMES)
+    def test_x_colliding_mod_p_rejected(self, p):
+        with pytest.raises(DomainError):
+            PrimeField(p).interpolate_at([(1, 5), (3, 4), (1 + p, 7)], [0])
+
+    def test_one_inversion_for_any_number_of_targets(self, big_field, rng, monkeypatch):
+        calls = []
+        inv = PrimeField.inv
+
+        def counted(self, a):
+            calls.append(a)
+            return inv(self, a)
+
+        monkeypatch.setattr(PrimeField, "inv", counted)
+        points = [(x, x) for x in rng.sample(range(1, 1000), 64)]
+        big_field.interpolate_at(points, list(range(-5, 70)))
+        assert len(calls) == 1
+
+
 class TestPolyRandom:
     def test_fully_constrained_degree_zero(self, gf13, rng):
         assert gf13.poly_random(0, [(0, 5)], rng) == [5]

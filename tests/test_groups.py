@@ -216,6 +216,19 @@ class TestRestoreSubshare:
         with pytest.raises(InsufficientPointsError):
             restore_subshare(gf13, [Share(1, 6), Share(3, 10)], 2, gamma=4)
 
+    def test_uses_the_first_gamma_in_x_order(self, gf13):
+        # 4 + 2x through x=1 and x=3; the point at x=5 is off the line
+        subshares = [Share(5, 0), Share(3, 10), Share(1, 6)]
+        assert restore_subshare(gf13, subshares, 2, gamma=2) == Share(2, 8)
+        assert repair_share(gf13, subshares[:2], WeakRedundancy(1, 6), 2, 2) == 8
+
+    def test_duplicate_x_beyond_the_first_gamma_rejected(self, gf13):
+        subshares = [Share(1, 6), Share(3, 10), Share(5, 1), Share(5, 1)]
+        with pytest.raises(DomainError):
+            restore_subshare(gf13, subshares, 2, gamma=2)
+        with pytest.raises(DomainError):
+            repair_share(gf13, subshares[1:], WeakRedundancy(1, 6), 2, 2)
+
 
 class TestRedundancySignificance:
     def test_strong_alone_determines_all_members(self, gf13):

@@ -318,6 +318,35 @@ class TestRepair:
             request_repair(state, state.nodes[node_id].identity, node_id)
         assert {i: node_store_dict(node) for i, node in state.nodes.items()} == before
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        gamma=st.integers(2, 8),
+        placement=st.sampled_from(
+            [PLACEMENT_RANDOM, PLACEMENT_RECIPROCAL, PLACEMENT_ANTI_RECIPROCAL]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_any_single_failure_restores_its_share_and_subshare(
+        self, gamma, placement, seed, data
+    ):
+        """Any node, holders included, gets back exactly its primary share
+        and its own sub-share (a holder's hosted sub-shares stay lost)."""
+        least = 3 if placement == PLACEMENT_ANTI_RECIPROCAL else 2
+        m = data.draw(st.integers(least, 6), label="m")
+        n = gamma * m
+        k = data.draw(st.integers(1, n), label="k")
+        node_id = data.draw(st.integers(1, n), label="node")
+        state = system_setup(k, n, m, secret=42, seed=seed, placement=placement)
+        node = state.nodes[node_id]
+        original, original_sub = node.primary, node.subshare
+        mark_failed(state, node_id)
+        assert node.primary is None and node.subshare is None
+        repaired, restored, _ = request_repair(state, node.identity, node_id)
+        assert (repaired, restored) == (original, original_sub)
+        assert (node.primary, node.subshare) == (original, original_sub)
+        assert recover_secret(state, range(n - k + 1, n + 1)) == 42
+
     def test_trace_shape(self, toy_system):
         mark_failed(toy_system, 3)
         _, _, trace = request_repair(toy_system, toy_system.nodes[3].identity, 3)
