@@ -151,6 +151,22 @@ class PrimeField:
             inv = inv * dens[i] % p
         return weights
 
+    def _scaled_weights(
+        self, points: list[tuple[int, int]]
+    ) -> tuple[list[int], list[int]]:
+        """The x values mod p and s_i = y_i * w_i, for both interpolators.
+
+        Raises DomainError for an empty point list or duplicate x values.
+        """
+        if not points:
+            raise DomainError("interpolation needs at least one point")
+        p = self.modulus
+        xs = [x % p for x, _ in points]
+        if len(set(xs)) != len(xs):
+            raise DomainError("interpolation points must have distinct x values")
+        weights = self.barycentric_weights(xs)
+        return xs, [y % p * w % p for (_, y), w in zip(points, weights)]
+
     def poly_interpolate(self, points: list[tuple[int, int]]) -> list[int]:
         """Unique polynomial of degree <= len(points)-1 through all points.
 
@@ -163,18 +179,12 @@ class PrimeField:
 
         Raises DomainError for an empty point list or duplicate x values.
         """
-        if not points:
-            raise DomainError("interpolation needs at least one point")
         p = self.modulus
-        xs = [x % p for x, _ in points]
-        if len(set(xs)) != len(xs):
-            raise DomainError("interpolation points must have distinct x values")
+        xs, scales = self._scaled_weights(points)
         master = [1]
         for xj in xs:
             # (x - x_j) * M: shift up one degree, subtract x_j * M
             master = [(lo - xj * hi) % p for lo, hi in zip([0] + master, master + [0])]
-        weights = self.barycentric_weights(xs)
-        scales = [y % p * w % p for (_, y), w in zip(points, weights)]
         # quotients[i] walks down the coefficients of M(x) / (x - x_i),
         # starting from the leading 1 of the monic master.
         quotients = [1] * len(xs)
@@ -199,14 +209,8 @@ class PrimeField:
 
         Raises DomainError for an empty point list or duplicate x values.
         """
-        if not points:
-            raise DomainError("interpolation needs at least one point")
         p = self.modulus
-        xs = [x % p for x, _ in points]
-        if len(set(xs)) != len(xs):
-            raise DomainError("interpolation points must have distinct x values")
-        weights = self.barycentric_weights(xs)
-        scales = [y % p * w % p for (_, y), w in zip(points, weights)]
+        xs, scales = self._scaled_weights(points)
         values = []
         for t in targets:
             t %= p

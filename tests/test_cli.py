@@ -434,10 +434,8 @@ class TestNonCanonicalElements:
         # int(" 100137404") parses, so this one-character edit used to make
         # recover print 82712631 with exit 0
         eight = [str(i) for i in range(1, 9)]
-        assert run(capsys, "recover", "--participants", *eight, state_dir=state_dir)[:2] == (
-            0,
-            "42\n",
-        )
+        code, out, _ = run(capsys, "recover", "--participants", *eight, state_dir=state_dir)
+        assert (code, out) == (0, "42\n")
 
         def blank_first_digit(raw):
             assert raw["y"] == "1100137404"
