@@ -25,7 +25,6 @@ from .errors import (
 from .field import DEFAULT_MODULUS, PrimeField, is_probable_prime, trim_poly
 from .groups import (
     GroupSpec,
-    StrongRedundancy,
     WeakRedundancy,
     build_repair_function,
     make_weak_redundancy,
@@ -49,7 +48,7 @@ from .protocol import (
     storage_accounting,
     system_setup,
 )
-from .shamir import Share, SharingParams, recover, reconstruct_polynomial, split
+from .shamir import Share, recover, reconstruct_polynomial, split
 from .threat import (
     AttackerKnowledge,
     CompromiseModel,

@@ -6,8 +6,8 @@ gamma member share points; it exists only to repair shares and is a random
 object with respect to the global secret.  Two redundancy flavors exist:
 
 * strong redundancy: the full coefficient list, which alone determines
-  every member share (kept for analysis and tests; never placed anywhere
-  by the protocol, since it is as significant as all gamma shares);
+  every member share (built during setup only to draw the weak point;
+  never placed anywhere, since it is as significant as all gamma shares);
 * weak redundancy: one extra point on the polynomial at a fresh public
   abscissa, worth exactly one share.
 
@@ -32,13 +32,7 @@ from .errors import ConfigurationError, DomainError, InsufficientPointsError
 from .field import PrimeField
 # reconstruct_polynomial is unused here but bound on purpose: the
 # benchmark's tracer (bench/tracer.py) wraps groups.reconstruct_polynomial.
-from .shamir import (  # noqa: F401
-    Share,
-    SharingParams,
-    _checked_sorted,
-    reconstruct_polynomial,
-    split,
-)
+from .shamir import Share, _checked_sorted, reconstruct_polynomial, split  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -51,13 +45,6 @@ class GroupSpec:
     @property
     def gamma(self) -> int:
         return len(self.member_ids)
-
-
-@dataclass(frozen=True)
-class StrongRedundancy:
-    """Full repairing-polynomial coefficient list (constant term first)."""
-
-    coefficients: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -87,15 +74,15 @@ def partition(n: int, m: int) -> list[GroupSpec]:
     ]
 
 
-def build_repair_function(field: PrimeField, member_shares: list[Share]) -> StrongRedundancy:
-    """Interpolate the group's member points into the repairing polynomial."""
-    coeffs = field.poly_interpolate([(s.x, s.y) for s in member_shares])
-    return StrongRedundancy(coefficients=tuple(coeffs))
+def build_repair_function(field: PrimeField, member_shares: list[Share]) -> list[int]:
+    """The group's repairing polynomial (constant term first): its strong
+    redundancy, interpolated from the member points."""
+    return field.poly_interpolate([(s.x, s.y) for s in member_shares])
 
 
 def make_weak_redundancy(
     field: PrimeField,
-    repair_function: StrongRedundancy,
+    repair_function: list[int],
     excluded_x: set[int],
     rng: random.Random,
 ) -> WeakRedundancy:
@@ -112,7 +99,7 @@ def make_weak_redundancy(
         x = rng.randrange(field.modulus)
         if x not in forbidden:
             break
-    return WeakRedundancy(x=x, y=field.poly_eval(list(repair_function.coefficients), x))
+    return WeakRedundancy(x=x, y=field.poly_eval(repair_function, x))
 
 
 def setup_sss(
@@ -131,8 +118,7 @@ def setup_sss(
     """
     if gamma < 2:
         raise ConfigurationError(f"group size must be >= 2, got {gamma}")
-    params = SharingParams.with_default_assignment(k=gamma, n=gamma + 1)
-    return split(field, sub_secret, params, rng)
+    return split(field, sub_secret, gamma, gamma + 1, rng)
 
 
 def _value_at(field: PrimeField, points: list[Share], gamma: int, x: int) -> int:

@@ -44,7 +44,7 @@ from .errors import (
 from .field import DEFAULT_MODULUS, PrimeField
 from .groups import GroupSpec, WeakRedundancy
 from .seeds import derive_rng
-from .shamir import Share, SharingParams
+from .shamir import Share
 
 PLACEMENT_RANDOM = "random"
 PLACEMENT_ANTI_RECIPROCAL = "anti-reciprocal"
@@ -96,26 +96,27 @@ class NodeStore:
 class GroupRecord:
     """Public per-group registry entry.
 
-    x_lambda is None and sss_x empty when the system was built without
-    repair redundancy (bare threshold sharing).
+    x_lambda is None when the system was built without repair redundancy
+    (bare threshold sharing).  The sub-share x values are not stored: the
+    member at 1-based position i of spec.member_ids holds x = i, and the
+    external sub-share sits at x = gamma + 1.
     """
 
     spec: GroupSpec
     x_lambda: int | None
-    sss_x: tuple[int, ...]
     digest_hex: str
 
 
 @dataclass
 class SystemState:
-    """One complete simulated system: public registry plus all node stores."""
+    """One complete simulated system: public registry plus all node stores.
+    Participant i's share sits at x = i."""
 
     field: PrimeField
     k: int
     n: int
     m: int
     placement_mode: str
-    participants: dict[int, int]
     groups: dict[int, GroupRecord]
     nodes: dict[int, NodeStore]
     group_of: dict[int, int]
@@ -303,7 +304,6 @@ def system_setup(
     gamma = n // m
     if placement == PLACEMENT_RECIPROCAL and m < 2:
         raise ConfigurationError("reciprocal placement needs at least two groups")
-    params = SharingParams.with_default_assignment(k, n)
 
     id_rng = derive_rng(seed, "identity")
     hw_ids: dict[int, int] = {}
@@ -316,7 +316,7 @@ def system_setup(
         seen.add(hw)
         hw_ids[node_id] = hw
 
-    shares = shamir.split(field, secret, params, derive_rng(seed, "sharing"))
+    shares = shamir.split(field, secret, k, n, derive_rng(seed, "sharing"))
     nodes = {
         i: NodeStore(
             identity=NodeIdentity(i, hw_ids[i]),
@@ -335,7 +335,7 @@ def system_setup(
             group_of[member] = spec.group_id
         digest = hash_identity(hw_ids[mid] for mid in spec.member_ids)
         if placement == PLACEMENT_NONE:
-            group_records[spec.group_id] = GroupRecord(spec, None, (), digest)
+            group_records[spec.group_id] = GroupRecord(spec, None, digest)
             continue
         member_shares = [shares[mid - 1] for mid in spec.member_ids]
         repair_fn = grouping.build_repair_function(field, member_shares)
@@ -351,9 +351,7 @@ def system_setup(
         for idx, member in enumerate(spec.member_ids):
             nodes[member].subshare = sss[idx]
         external[spec.group_id] = sss[-1]
-        group_records[spec.group_id] = GroupRecord(
-            spec, weak.x, tuple(range(1, gamma + 2)), digest
-        )
+        group_records[spec.group_id] = GroupRecord(spec, weak.x, digest)
 
     state = SystemState(
         field=field,
@@ -361,7 +359,6 @@ def system_setup(
         n=n,
         m=m,
         placement_mode=placement,
-        participants={i: shares[i - 1].x for i in range(1, n + 1)},
         groups=group_records,
         nodes=nodes,
         group_of=group_of,
@@ -450,7 +447,7 @@ def request_repair(
             f"members {sorted(withheld)} did not authorize the repair"
         )
 
-    failed_x = state.participants[failed_id]
+    failed_x = failed_id
     trace = RepairTrace()
     trace.add("request", failed_id, tuple(survivors), failed=failed_id, x=failed_x)
     for mid in survivors:
@@ -498,7 +495,7 @@ def request_repair(
     )
     trace.add("delivery", failed_id, (failed_id,), x=failed_x, y=repaired_y)
 
-    failed_sss_x = group.sss_x[group.spec.member_ids.index(failed_id)]
+    failed_sss_x = group.spec.member_ids.index(failed_id) + 1
     restored_sub = grouping.restore_subshare(state.field, subshares, failed_sss_x, gamma)
     trace.add("subshare-restore", failed_id, (failed_id,), sub_x=failed_sss_x)
 
@@ -545,6 +542,12 @@ def _fe(value: int) -> str:
     return str(value)
 
 
+def _sss_layout(x_lambda: int | None, gamma: int) -> list[str]:
+    """A group's registry "sss_x": the members' sub-shares at x = 1..gamma
+    and the external one at gamma + 1, or none without repair redundancy."""
+    return [] if x_lambda is None else [_fe(x) for x in range(1, gamma + 2)]
+
+
 def registry_dict(state: SystemState) -> dict:
     """The public registry: no y values, no sub-shares, no holder locations."""
     return {
@@ -556,7 +559,7 @@ def registry_dict(state: SystemState) -> dict:
         "participants": [
             {
                 "id": node_id,
-                "x": _fe(state.participants[node_id]),
+                "x": _fe(node_id),
                 "hw_id": f"{state.nodes[node_id].identity.hw_id:012x}",
             }
             for node_id in sorted(state.nodes)
@@ -566,7 +569,7 @@ def registry_dict(state: SystemState) -> dict:
                 "id": group_id,
                 "members": list(rec.spec.member_ids),
                 "x_lambda": None if rec.x_lambda is None else _fe(rec.x_lambda),
-                "sss_x": [_fe(x) for x in rec.sss_x],
+                "sss_x": _sss_layout(rec.x_lambda, rec.spec.gamma),
                 "digest_hex": rec.digest_hex,
             }
             for group_id, rec in sorted(state.groups.items())
@@ -682,9 +685,9 @@ def save_state(
             _write_file(tmp, tmp, _dump(node_store_dict(state.nodes[node_id])).encode())
             os.replace(tmp, path)
         return
-    if state.nodes.keys() != state.participants.keys():
+    if len(state.nodes) != state.n:
         raise ConfigurationError(
-            f"state holds {len(state.nodes)} of {len(state.participants)} node "
+            f"state holds {len(state.nodes)} of {state.n} node "
             "stores; a partial load is read-only"
         )
     os.makedirs(node_dir, exist_ok=True)
@@ -719,10 +722,6 @@ def _element(text: str) -> int:
     return value
 
 
-def _share(raw: dict) -> Share:
-    return Share(_element(raw["x"]), _element(raw["y"]))
-
-
 def load_state(
     directory: str | Path, node_ids: Iterable[int] | None = None
 ) -> SystemState:
@@ -741,21 +740,26 @@ def load_state(
     UTF-8 and parsed; every descriptor is closed on every path out.  An
     OSError names the file's full path.  This needs POSIX dir_fd support.
 
+    Every x follows from position (participant i at x = i; in a group with
+    redundancy its i-th member's sub-share at x = i, the external one at
+    gamma + 1, and sss_x "1" .. str(gamma + 1), else empty), so each stored
+    x is compared as text and only the y values and x_lambda are parsed.
+
     A file that is not UTF-8 or not valid JSON, lacks an entry, spells a
-    field element (an x, y, x_lambda or sss_x) other than as the decimal
-    str() that save_state writes, names an unknown placement mode or
-    disagrees with the registry raises StateFileError, as does a registry
-    whose modulus is not a prime, whose participants' x are not their ids,
-    whose k, n and m are not integers with 1 <= k <= n describing its n
-    participants in m groups of n/m members, or whose groups together do
-    not list every participant exactly once; a stored share value outside
-    [0, p) raises DomainError.  Both name the file.
-    A node file agrees with the registry when its id is the node it
-    is loaded as, its own sub-share (held exactly while the node is alive
-    in a system with redundancy) sits at its x in its group's sss_x, and
-    every hosted digest names a group whose external point, the last
-    sss_x, is the hosted sub-share's x.  Every node file that is read gets
-    every one of these checks.
+    free field element other than as the decimal str() that save_state
+    writes, names an unknown placement mode or disagrees with the registry
+    raises StateFileError, as does a registry whose modulus is not a
+    prime, whose participants' x are not their ids, whose group sss_x is
+    not that layout, whose k, n and m are not integers with 1 <= k <= n
+    describing its n participants in m groups of n/m members, or whose
+    groups together do not list every participant exactly once; a stored
+    share value outside [0, p) raises DomainError.  Both name the file.
+    A node file agrees with the registry when its id is the node it is
+    loaded as, its own sub-share (held exactly while the node is alive in
+    a system with redundancy) sits at its position's x, and every hosted
+    digest names a group with redundancy and its sub-share sits at that
+    group's external x.  Every node file that is read gets every one of
+    these checks.
     """
     root = os.fspath(directory)
     path = os.path.join(root, REGISTRY_FILE)  # the file being parsed, for errors
@@ -776,13 +780,11 @@ def load_state(
         if placement_mode not in PLACEMENT_MODES:
             raise StateFileError(f"{path}: unknown placement_mode {placement_mode!r}")
 
-        participants = {}
-        hw_ids = {}
+        hw_ids = {}  # participant id -> hardware id
         for entry in registry["participants"]:
-            node_id, x = entry["id"], _element(entry["x"])
-            if x != node_id:
+            node_id, x = entry["id"], entry["x"]
+            if type(node_id) is not int or x != _fe(node_id):
                 raise StateFileError(f"{path}: participant {node_id!r} has x={x}")
-            participants[node_id] = x
             hw_ids[node_id] = int(entry["hw_id"], 16)
 
         group_records = {}
@@ -791,33 +793,38 @@ def load_state(
         external_x = {}  # group digest -> the x of its external sub-share
         for entry in registry["groups"]:
             spec = GroupSpec(group_id=entry["id"], member_ids=tuple(entry["members"]))
-            sss_x = tuple(map(_element, entry["sss_x"]))
-            own_sub_x.update(zip(spec.member_ids, sss_x))
-            for member in spec.member_ids:
-                group_of[member] = spec.group_id
-            if sss_x:
-                external_x[entry["digest_hex"]] = sss_x[-1]
             x_lambda = (
                 None if entry["x_lambda"] is None else _element(entry["x_lambda"])
             )
+            layout = _sss_layout(x_lambda, spec.gamma)
+            if entry["sss_x"] != layout:
+                raise StateFileError(
+                    f"{path}: group {spec.group_id!r} has sss_x {entry['sss_x']!r}, "
+                    f"expected {layout!r}"
+                )
+            for member in spec.member_ids:
+                group_of[member] = spec.group_id
+            if x_lambda is not None:
+                own_sub_x.update(zip(spec.member_ids, range(1, spec.gamma + 1)))
+                external_x[entry["digest_hex"]] = spec.gamma + 1
             group_records[spec.group_id] = GroupRecord(
-                spec, x_lambda, sss_x, entry["digest_hex"]
+                spec, x_lambda, entry["digest_hex"]
             )
 
-        if (len(participants), len(group_records)) != (n, m) or any(
+        if (len(hw_ids), len(group_records)) != (n, m) or any(
             len(rec.spec.member_ids) * m != n for rec in group_records.values()
         ):
             raise StateFileError(
-                f"{path}: n={n}, m={m} disagree with the {len(participants)} "
+                f"{path}: n={n}, m={m} disagree with the {len(hw_ids)} "
                 f"participants in {len(group_records)} groups (n/m members each)"
             )
-        if group_of.keys() != participants.keys():
+        if group_of.keys() != hw_ids.keys():
             raise StateFileError(
                 f"{path}: the groups' members are not the participants, each once"
             )
 
-        wanted = sorted(participants if node_ids is None else set(node_ids))
-        unknown = [node_id for node_id in wanted if node_id not in participants]
+        wanted = sorted(hw_ids if node_ids is None else set(node_ids))
+        unknown = [node_id for node_id in wanted if node_id not in hw_ids]
         if unknown:
             raise ConfigurationError(f"unknown node {', '.join(map(str, unknown))}")
 
@@ -832,32 +839,37 @@ def load_state(
             raw = _read_json(name, path, dir_fd)
             if raw["id"] != node_id:
                 raise StateFileError(f"{path}: id {raw['id']!r} is not node {node_id}")
-            primary = (
-                None
-                if raw["y"] is None
-                else Share(participants[node_id], _element(raw["y"]))
-            )
+            primary = None if raw["y"] is None else Share(node_id, _element(raw["y"]))
             sub = raw["sss_subshare"]
-            subshare = None if sub is None else _share(sub)
-            hosted = [(h["digest_hex"], _share(h["subshare"])) for h in raw["hosted"]]
-            sub_x = None if subshare is None else subshare.x
+            sub_x = None if sub is None else sub["x"]
+            sub_y = None if sub is None else _element(sub["y"])
+            hosted_raw = [
+                (h["digest_hex"], h["subshare"]["x"], _element(h["subshare"]["y"]))
+                for h in raw["hosted"]
+            ]
             expected_x = None if primary is None else own_sub_x.get(node_id)
-            if sub_x != expected_x:
+            if (sub is None) != (expected_x is None) or (
+                sub is not None and sub_x != _fe(expected_x)
+            ):
                 raise StateFileError(
                     f"{path}: sss_subshare x={sub_x} disagrees with the registry "
                     f"(expected {expected_x})"
                 )
+            subshare = None if sub is None else Share(expected_x, sub_y)
             for share in (primary, subshare):
                 if share is not None and not 0 <= share.y < p:
                     raise DomainError(f"{path}: y={share.y} outside [0, {p})")
-            for digest, share in hosted:
-                if external_x.get(digest) != share.x:
+            hosted = []
+            for digest, x, y in hosted_raw:
+                external = external_x.get(digest)
+                if external is None or x != _fe(external):
                     raise StateFileError(
-                        f"{path}: hosted sub-share x={share.x} under digest "
+                        f"{path}: hosted sub-share x={x} under digest "
                         f"{digest[:16]}... is no registry group's external point"
                     )
-                if not 0 <= share.y < p:
-                    raise DomainError(f"{path}: hosted y={share.y} outside [0, {p})")
+                if not 0 <= y < p:
+                    raise DomainError(f"{path}: hosted y={y} outside [0, {p})")
+                hosted.append((digest, Share(external, y)))
             nodes[node_id] = NodeStore(
                 identity=NodeIdentity(node_id, hw_ids[node_id]),
                 primary=primary,
@@ -880,7 +892,6 @@ def load_state(
         n=n,
         m=m,
         placement_mode=placement_mode,
-        participants=participants,
         groups=group_records,
         nodes=nodes,
         group_of=group_of,

@@ -31,54 +31,25 @@ class Share:
             raise DomainError("x = 0 is reserved for the secret position")
 
 
-@dataclass(frozen=True)
-class SharingParams:
-    """Threshold k, share count n, and the public x for each participant.
-
-    x_assignment lists the share abscissas in participant order; they must
-    be distinct and nonzero (x = 0 is reserved for the secret position).
-    """
-
-    k: int
-    n: int
-    x_assignment: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ConfigurationError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if len(self.x_assignment) != self.n:
-            raise ConfigurationError(
-                f"x_assignment has {len(self.x_assignment)} entries, expected {self.n}"
-            )
-        if 0 in self.x_assignment:
-            raise ConfigurationError("x = 0 is reserved for the secret")
-        if len(set(self.x_assignment)) != self.n:
-            raise ConfigurationError("x_assignment values must be distinct")
-
-    @classmethod
-    def with_default_assignment(cls, k: int, n: int) -> "SharingParams":
-        """Participant P_i gets x_i = i (1-based)."""
-        return cls(k=k, n=n, x_assignment=tuple(range(1, n + 1)))
-
-
 def split(
     field: PrimeField,
     secret: int,
-    params: SharingParams,
+    k: int,
+    n: int,
     rng: random.Random,
 ) -> list[Share]:
-    """Split a secret into n shares with threshold k.
+    """Split a secret into n shares with threshold k, at x = 1..n.
 
     A random degree-(k-1) polynomial f with f(0) = secret is drawn from the
-    given rng (deterministic per seed); share i is (x_i, f(x_i)) in
-    x_assignment order.
+    given rng (deterministic per seed); share i is (i, f(i)).
     """
-    for x in params.x_assignment:
-        if not 0 < x < field.modulus:
-            raise ConfigurationError(f"x assignment {x} outside field range")
+    if not 1 <= k <= n:
+        raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if n >= field.modulus:
+        raise ConfigurationError(f"n={n} shares need n < p={field.modulus}")
     secret %= field.modulus
-    poly = field.poly_random(params.k - 1, [(0, secret)], rng)
-    return [Share(x, field.poly_eval(poly, x)) for x in params.x_assignment]
+    poly = field.poly_random(k - 1, [(0, secret)], rng)
+    return [Share(x, field.poly_eval(poly, x)) for x in range(1, n + 1)]
 
 
 def _checked_sorted(shares: list[Share]) -> list[Share]:

@@ -172,8 +172,9 @@ def attacker_closure(state: SystemState, compromised) -> AttackerKnowledge:
             if group_id not in derived and len(subs) >= gamma:
                 derived[group_id] = shamir.recover(field, sorted(subs), gamma)
                 changed = True
+            # node i's share sits at x = i
             member_points = [
-                (state.participants[mid], known_primary[mid])
+                (mid, known_primary[mid])
                 for mid in rec.spec.member_ids
                 if mid in known_primary
             ]
@@ -183,7 +184,7 @@ def attacker_closure(state: SystemState, compromised) -> AttackerKnowledge:
                 ]
                 values = field.interpolate_at(
                     member_points + [(rec.x_lambda, derived[group_id])],
-                    [state.participants[mid] for mid in missing],
+                    missing,
                 )
                 known_primary.update(zip(missing, values))
                 changed = True

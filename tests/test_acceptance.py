@@ -25,7 +25,7 @@ from lrshare.protocol import (
     storage_accounting,
     system_setup,
 )
-from lrshare.shamir import SharingParams, recover, split
+from lrshare.shamir import recover, split
 from lrshare.threat import (
     SCHEME_BASELINE4,
     SCHEME_SSS5,
@@ -45,11 +45,10 @@ def test_c1_shamir_roundtrip_exhaustive_subsets():
     """(8,12) over GF(2^31-1): 100 random secrets, all 495 8-subsets recover."""
     started = time.perf_counter()
     field = PrimeField(DEFAULT_MODULUS)
-    params = SharingParams.with_default_assignment(8, 12)
     rng = random.Random(1001)
     for _ in range(100):
         secret = rng.randrange(field.modulus)
-        shares = split(field, secret, params, rng)
+        shares = split(field, secret, 8, 12, rng)
         for subset in combinations(shares, 8):
             assert recover(field, list(subset), 8) == secret
     elapsed = time.perf_counter() - started

@@ -213,6 +213,22 @@ class TestCorruptState:
         )
         self.assert_out_of_range(capsys, state_dir, path)
 
+    @pytest.mark.parametrize("x", [None, "1"])
+    def test_subshare_without_a_slot_exits_three(self, tmp_path, capsys, x):
+        # a bare threshold system has no sub-share positions, so any stored
+        # sub-share disagrees with the registry, even one with no x at all
+        directory = tmp_path / "state"
+        flags = [*TOY_FLAGS, "--placement", "none"]
+        assert run(capsys, "setup", *flags, state_dir=directory)[0] == 0
+        path = edit_node(
+            directory, 2, lambda raw: raw.update(sss_subshare={"x": x, "y": "5"})
+        )
+        code, out, err = self.recover_all(capsys, directory)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert str(path) in err
+
     def test_truncated_node_file_exits_three(self, state_dir, capsys):
         path = state_dir / "nodes" / "node_02.json"
         path.write_text('{"id": 2, "y": ')
@@ -468,6 +484,60 @@ def test_group_members_must_be_the_participants(tmp_path, capsys, placement, mem
         assert "registry.json" in err
 
 
+class TestRelabelledSubShares:
+    """Sub-share x values follow from position: member i of a group at x = i,
+    the external one at gamma + 1.  A state relabelled consistently in the
+    registry and the node files would make repair write a wrong y with
+    exit 0, so every command that loads it exits 3."""
+
+    EIGHT = [str(i) for i in range(1, 9)]
+
+    def assert_refused(self, capsys, state_dir, command):
+        code, out, err = run(capsys, *command, state_dir=state_dir)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("io-error:")
+        assert "registry.json" in err
+
+    def test_external_relabel_exits_three(self, state_dir, capsys):
+        registry = json.loads((state_dir / "registry.json").read_text())
+        digest = registry["groups"][0]["digest_hex"]
+
+        def relabel_registry(raw):
+            assert raw["groups"][0]["sss_x"] == ["1", "2", "3", "4", "5"]
+            raw["groups"][0]["sss_x"][-1] = "6"
+
+        def relabel_hosted(raw):
+            (entry,) = [h for h in raw["hosted"] if h["digest_hex"] == digest]
+            assert entry["subshare"]["x"] == "5"
+            entry["subshare"]["x"] = "6"
+
+        holder = next(
+            int(path.stem[len("node_") :])
+            for path in sorted((state_dir / "nodes").iterdir())
+            if digest in path.read_text()
+        )
+        edit_registry(state_dir, relabel_registry)
+        edit_node(state_dir, holder, relabel_hosted)
+        self.assert_refused(capsys, state_dir, ["fail", "--node", "2"])
+        self.assert_refused(capsys, state_dir, ["recover", "--participants", *self.EIGHT])
+
+    def test_member_relabel_exits_three(self, state_dir, capsys):
+        def swap_registry(raw):
+            sss_x = raw["groups"][0]["sss_x"]
+            sss_x[0], sss_x[1] = sss_x[1], sss_x[0]
+            assert sss_x[:2] == ["2", "1"]
+
+        def set_subshare_x(x):
+            return lambda raw: raw["sss_subshare"].update(x=x)
+
+        edit_registry(state_dir, swap_registry)
+        edit_node(state_dir, 1, set_subshare_x("2"))
+        edit_node(state_dir, 2, set_subshare_x("1"))
+        self.assert_refused(capsys, state_dir, ["fail", "--node", "3"])
+        self.assert_refused(capsys, state_dir, ["recover", "--participants", *self.EIGHT])
+
+
 @pytest.fixture(scope="module")
 def toy_state_files(tmp_path_factory):
     """Every file of a fresh TOY state, by path relative to the state directory."""
@@ -514,6 +584,47 @@ def test_corrupt_node_file_keeps_exit_contract(
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["--state-dir", tmp, command, "--node", str(node)])
+            assert code in (0, 3, 4), (command, code, out.getvalue(), err.getvalue())
+            if not parses:
+                assert code == 3
+                assert err.getvalue().startswith("io-error:")
+                assert str(path) in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(node=st.integers(1, 12), truncate=st.booleans(), data=st.data())
+def test_corrupt_registry_keeps_exit_contract(toy_state_files, node, truncate, data):
+    """registry.json truncated or one byte flipped: fail, repair and recover
+    exit 0, 3 or 4 and never raise; bytes that no longer parse as JSON exit
+    3 naming the registry."""
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for relative, content in toy_state_files.items():
+            (directory / relative).parent.mkdir(exist_ok=True)
+            (directory / relative).write_bytes(content)
+        path = directory / "registry.json"
+        raw = path.read_bytes()
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        if truncate:
+            bad = raw[:at]
+        else:
+            mask = data.draw(st.integers(1, 255), label="mask")
+            bad = raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1 :]
+        path.write_bytes(bad)
+        try:
+            json.loads(bad.decode())
+            parses = True
+        except ValueError:
+            parses = False
+        commands = (
+            ["fail", "--node", str(node)],
+            ["repair", "--node", str(node)],
+            ["recover", "--participants", *map(str, range(1, 9))],
+        )
+        for command in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--state-dir", tmp, *command])
             assert code in (0, 3, 4), (command, code, out.getvalue(), err.getvalue())
             if not parses:
                 assert code == 3

@@ -124,7 +124,8 @@ class TestSetup:
 
     def test_x_lambda_avoids_member_xs_and_zero(self, toy_system):
         for rec in toy_system.groups.values():
-            member_xs = {toy_system.participants[m] for m in rec.spec.member_ids}
+            member_xs = {toy_system.nodes[m].primary.x for m in rec.spec.member_ids}
+            assert member_xs == set(rec.spec.member_ids)
             assert rec.x_lambda != 0
             assert rec.x_lambda not in member_xs
 
@@ -132,7 +133,10 @@ class TestSetup:
         for rec in toy_system.groups.values():
             xs = [toy_system.nodes[m].subshare.x for m in rec.spec.member_ids]
             assert xs == [1, 2, 3, 4]
-            assert rec.sss_x == (1, 2, 3, 4, 5)
+        hosted_xs = [sub.x for node in toy_system.nodes.values() for _, sub in node.hosted]
+        assert hosted_xs == [5, 5, 5]
+        for entry in registry_dict(toy_system)["groups"]:
+            assert entry["sss_x"] == ["1", "2", "3", "4", "5"]
 
     def test_same_seed_identical_files(self, tmp_path):
         for name in ("a", "b"):
@@ -506,7 +510,7 @@ class TestPersistence:
             assert node_store_dict(partial.nodes[node_id]) == node_store_dict(
                 full.nodes[node_id]
             )
-        for name in ("k", "n", "m", "placement_mode", "participants", "groups", "group_of"):
+        for name in ("k", "n", "m", "placement_mode", "groups", "group_of"):
             assert getattr(partial, name) == getattr(full, name), name
         assert partial.field.modulus == full.field.modulus
 

@@ -15,7 +15,6 @@ from lrshare.errors import (
 from lrshare.field import PrimeField, is_probable_prime
 from lrshare.shamir import (
     Share,
-    SharingParams,
     recover,
     reconstruct_polynomial,
     split,
@@ -26,46 +25,31 @@ FIXTURE_SEED_LINE = 17
 
 
 class TestParams:
-    def test_default_assignment(self):
-        params = SharingParams.with_default_assignment(3, 5)
-        assert params.x_assignment == (1, 2, 3, 4, 5)
+    def test_threshold_bounds(self, gf13, rng):
+        with pytest.raises(ConfigurationError):
+            split(gf13, 5, 0, 3, rng)
+        with pytest.raises(ConfigurationError):
+            split(gf13, 5, 4, 3, rng)
 
-    def test_threshold_bounds(self):
+    def test_share_count_below_modulus(self, gf13, rng):
+        assert [s.x for s in split(gf13, 5, 2, 12, rng)] == list(range(1, 13))
         with pytest.raises(ConfigurationError):
-            SharingParams(k=0, n=3, x_assignment=(1, 2, 3))
-        with pytest.raises(ConfigurationError):
-            SharingParams(k=4, n=3, x_assignment=(1, 2, 3))
-
-    def test_zero_x_reserved(self):
-        with pytest.raises(ConfigurationError):
-            SharingParams(k=2, n=3, x_assignment=(0, 1, 2))
-
-    def test_duplicate_x_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SharingParams(k=2, n=3, x_assignment=(1, 1, 2))
+            split(gf13, 5, 2, 13, rng)
 
 
 class TestSplit:
     def test_threshold_one_is_replication(self, gf13, rng):
-        params = SharingParams.with_default_assignment(1, 4)
-        shares = split(gf13, 9, params, rng)
+        shares = split(gf13, 9, 1, 4, rng)
         assert all(s.y == 9 for s in shares)
 
     def test_known_line_fixture(self, gf13):
         """Seeded so the sharing polynomial is 5 + 3x over GF(13)."""
-        params = SharingParams.with_default_assignment(2, 3)
-        shares = split(gf13, 5, params, random.Random(FIXTURE_SEED_LINE))
+        shares = split(gf13, 5, 2, 3, random.Random(FIXTURE_SEED_LINE))
         assert [(s.x, s.y) for s in shares] == [(1, 8), (2, 11), (3, 1)]
 
-    def test_x_values_follow_assignment(self, big_field, rng):
-        params = SharingParams(k=3, n=4, x_assignment=(7, 2, 9, 4))
-        shares = split(big_field, 123, params, rng)
-        assert [s.x for s in shares] == [7, 2, 9, 4]
-
     def test_deterministic_per_seed(self, big_field):
-        params = SharingParams.with_default_assignment(4, 6)
-        a = split(big_field, 55, params, random.Random(3))
-        b = split(big_field, 55, params, random.Random(3))
+        a = split(big_field, 55, 4, 6, random.Random(3))
+        b = split(big_field, 55, 4, 6, random.Random(3))
         assert a == b
 
 
@@ -77,21 +61,19 @@ class TestRecover:
         assert recover(gf13, [Share(7, 4)], 1) == 4
 
     def test_roundtrip_many_secrets(self, big_field):
-        params = SharingParams.with_default_assignment(8, 12)
         rng = random.Random(2024)
         for _ in range(200):
             secret = rng.randrange(big_field.modulus)
-            shares = split(big_field, secret, params, rng)
+            shares = split(big_field, secret, 8, 12, rng)
             for _ in range(3):
                 subset = rng.sample(shares, 8)
                 assert recover(big_field, subset, 8) == secret
 
     def test_matches_interpolation_route(self, big_field, rng):
         """recover must equal interpolating the same shares and evaluating at 0."""
-        params = SharingParams.with_default_assignment(5, 9)
         for _ in range(20):
             secret = rng.randrange(big_field.modulus)
-            shares = split(big_field, secret, params, rng)
+            shares = split(big_field, secret, 5, 9, rng)
             subset = rng.sample(shares, 5)
             poly = big_field.poly_interpolate([(s.x, s.y) for s in subset])
             assert recover(big_field, subset, 5) == big_field.poly_eval(poly, 0)
@@ -117,9 +99,8 @@ class TestRecover:
     def test_k128_with_sixteen_surplus_shares(self, big_field):
         """The size the surplus cross-check runs at in a k=128 deployment."""
         rng = random.Random(128)
-        params = SharingParams.with_default_assignment(128, 256)
         secret = rng.randrange(big_field.modulus)
-        shares = split(big_field, secret, params, rng)
+        shares = split(big_field, secret, 128, 256, rng)
         subset = rng.sample(shares, 128 + 16)
         assert recover(big_field, subset, 128) == secret
         assert recover(big_field, subset[:128], 128) == secret
@@ -139,9 +120,8 @@ class TestReconstructPolynomial:
         assert reconstruct_polynomial(gf13, [Share(3, 6)], 1) == [6]
 
     def test_holdout_share_reproduced(self, big_field, rng):
-        params = SharingParams.with_default_assignment(4, 7)
         for _ in range(20):
-            shares = split(big_field, rng.randrange(big_field.modulus), params, rng)
+            shares = split(big_field, rng.randrange(big_field.modulus), 4, 7, rng)
             withheld = shares[5]
             rest = [s for s in shares if s != withheld]
             poly = reconstruct_polynomial(big_field, rest, 4)
@@ -188,7 +168,7 @@ def test_split_recover_round_trip_over_random_primes(data):
     field = PrimeField(modulus)
     secret = data.draw(st.integers(0, modulus - 1), label="secret")
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    shares = split(field, secret, SharingParams.with_default_assignment(k, n), rng)
+    shares = split(field, secret, k, n, rng)
     count = data.draw(st.integers(k, n), label="shares used")
     subset = data.draw(st.permutations(shares), label="order")[:count]
     assert recover(field, subset, k) == secret
