@@ -52,6 +52,8 @@ def _state_dir(args) -> str:
 
 
 def cmd_setup(args) -> int:
+    if not 0 <= args.secret < args.modulus:  # split would reduce it mod p
+        raise ConfigurationError(f"secret {args.secret} outside [0, {args.modulus})")
     state = protocol.system_setup(
         k=args.k,
         n=args.n,

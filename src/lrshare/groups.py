@@ -37,14 +37,10 @@ from .shamir import Share, _checked_sorted, reconstruct_polynomial, split  # noq
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A group's id and its member participant ids (ascending)."""
+    """A group's id and its members: partition's block of consecutive ids."""
 
     group_id: int
     member_ids: tuple[int, ...]
-
-    @property
-    def gamma(self) -> int:
-        return len(self.member_ids)
 
 
 @dataclass(frozen=True)
@@ -72,6 +68,11 @@ def partition(n: int, m: int) -> list[GroupSpec]:
         GroupSpec(group_id=g, member_ids=tuple(range((g - 1) * gamma + 1, g * gamma + 1)))
         for g in range(1, m + 1)
     ]
+
+
+def group_of(node_id: int, gamma: int) -> int:
+    """The id of the group that partition puts participant node_id in."""
+    return (node_id - 1) // gamma + 1
 
 
 def build_repair_function(field: PrimeField, member_shares: list[Share]) -> list[int]:

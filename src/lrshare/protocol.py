@@ -42,7 +42,7 @@ from .errors import (
     StateFileError,
 )
 from .field import DEFAULT_MODULUS, PrimeField
-from .groups import GroupSpec, WeakRedundancy
+from .groups import WeakRedundancy
 from .seeds import derive_rng
 from .shamir import Share
 
@@ -102,7 +102,7 @@ class GroupRecord:
     external sub-share sits at x = gamma + 1.
     """
 
-    spec: GroupSpec
+    spec: grouping.GroupSpec
     x_lambda: int | None
     digest_hex: str
 
@@ -110,7 +110,7 @@ class GroupRecord:
 @dataclass
 class SystemState:
     """One complete simulated system: public registry plus all node stores.
-    Participant i's share sits at x = i."""
+    Participant i's share sits at x = i, in group groups.group_of(i, gamma)."""
 
     field: PrimeField
     k: int
@@ -119,7 +119,6 @@ class SystemState:
     placement_mode: str
     groups: dict[int, GroupRecord]
     nodes: dict[int, NodeStore]
-    group_of: dict[int, int]
 
     @property
     def gamma(self) -> int:
@@ -328,11 +327,8 @@ def system_setup(
     }
 
     group_records: dict[int, GroupRecord] = {}
-    group_of: dict[int, int] = {}
     external: dict[int, Share] = {}
     for spec in specs:
-        for member in spec.member_ids:
-            group_of[member] = spec.group_id
         digest = hash_identity(hw_ids[mid] for mid in spec.member_ids)
         if placement == PLACEMENT_NONE:
             group_records[spec.group_id] = GroupRecord(spec, None, digest)
@@ -361,7 +357,6 @@ def system_setup(
         placement_mode=placement,
         groups=group_records,
         nodes=nodes,
-        group_of=group_of,
     )
 
     if placement != PLACEMENT_NONE:
@@ -428,12 +423,12 @@ def request_repair(
         raise AuthorizationError(
             f"proposer identity does not match registered node {failed_id}"
         )
-    group = state.groups[state.group_of[failed_id]]
+    gamma = state.gamma
+    group = state.groups[grouping.group_of(failed_id, gamma)]
     if group.x_lambda is None:
         raise ConfigurationError(
             f"group {group.spec.group_id} carries no repair redundancy"
         )
-    gamma = state.gamma
     survivors = [mid for mid in group.spec.member_ids if mid != failed_id]
     dead = [mid for mid in survivors if state.nodes[mid].failed]
     if dead:
@@ -495,7 +490,7 @@ def request_repair(
     )
     trace.add("delivery", failed_id, (failed_id,), x=failed_x, y=repaired_y)
 
-    failed_sss_x = group.spec.member_ids.index(failed_id) + 1
+    failed_sss_x = failed_id - group.spec.member_ids[0] + 1
     restored_sub = grouping.restore_subshare(state.field, subshares, failed_sss_x, gamma)
     trace.add("subshare-restore", failed_id, (failed_id,), sub_x=failed_sss_x)
 
@@ -569,7 +564,7 @@ def registry_dict(state: SystemState) -> dict:
                 "id": group_id,
                 "members": list(rec.spec.member_ids),
                 "x_lambda": None if rec.x_lambda is None else _fe(rec.x_lambda),
-                "sss_x": _sss_layout(rec.x_lambda, rec.spec.gamma),
+                "sss_x": _sss_layout(rec.x_lambda, state.gamma),
                 "digest_hex": rec.digest_hex,
             }
             for group_id, rec in sorted(state.groups.items())
@@ -740,26 +735,25 @@ def load_state(
     UTF-8 and parsed; every descriptor is closed on every path out.  An
     OSError names the file's full path.  This needs POSIX dir_fd support.
 
-    Every x follows from position (participant i at x = i; in a group with
-    redundancy its i-th member's sub-share at x = i, the external one at
-    gamma + 1, and sss_x "1" .. str(gamma + 1), else empty), so each stored
-    x is compared as text and only the y values and x_lambda are parsed.
+    Every x follows from position and the layout is checked, not trusted:
+    participants are ids 1..n at x = i, the groups groups.partition(n, m);
+    with redundancy a group's i-th member holds the sub-share at x = i, the
+    external one sits at gamma + 1 and sss_x is "1" .. str(gamma + 1), else
+    []. Stored x are compared as text; only y values and x_lambda are parsed.
 
     A file that is not UTF-8 or not valid JSON, lacks an entry, spells a
     free field element other than as the decimal str() that save_state
     writes, names an unknown placement mode or disagrees with the registry
     raises StateFileError, as does a registry whose modulus is not a
-    prime, whose participants' x are not their ids, whose group sss_x is
-    not that layout, whose k, n and m are not integers with 1 <= k <= n
-    describing its n participants in m groups of n/m members, or whose
-    groups together do not list every participant exactly once; a stored
-    share value outside [0, p) raises DomainError.  Both name the file.
-    A node file agrees with the registry when its id is the node it is
-    loaded as, its own sub-share (held exactly while the node is alive in
-    a system with redundancy) sits at its position's x, and every hosted
-    digest names a group with redundancy and its sub-share sits at that
-    group's external x.  Every node file that is read gets every one of
-    these checks.
+    prime, whose k, n and m are not integers with 1 <= k <= n for which
+    partition(n, m) exists (gamma >= 2), whose participants, groups or
+    sss_x are not the layout above, or whose hw_id is not 12 lowercase hex
+    digits; a stored share value outside [0, p) raises DomainError.  Both
+    name the file.  A node file agrees with the registry when its id is the
+    node it is loaded as, its own sub-share (held exactly while the node is
+    alive in a system with redundancy) sits at its position's x, and every
+    hosted digest names a group with redundancy and its sub-share sits at
+    gamma + 1.  Every node file that is read gets all of these checks.
     """
     root = os.fspath(directory)
     path = os.path.join(root, REGISTRY_FILE)  # the file being parsed, for errors
@@ -771,57 +765,57 @@ def load_state(
         except DomainError as exc:
             raise StateFileError(f"{path}: {exc}") from exc
         k, n, m = registry["k"], registry["n"], registry["m"]
-        if any(type(v) is not int for v in (k, n, m)) or not (1 <= k <= n and m >= 1):
+        if any(type(v) is not int for v in (k, n, m)) or not 1 <= k <= n:
             raise StateFileError(
-                f"{path}: need integers 1 <= k <= n and m >= 1, "
+                f"{path}: need integers k, n, m with 1 <= k <= n, "
                 f"got k={k!r}, n={n!r}, m={m!r}"
             )
         placement_mode = registry["placement_mode"]
         if placement_mode not in PLACEMENT_MODES:
             raise StateFileError(f"{path}: unknown placement_mode {placement_mode!r}")
 
-        hw_ids = {}  # participant id -> hardware id
-        for entry in registry["participants"]:
-            node_id, x = entry["id"], entry["x"]
-            if type(node_id) is not int or x != _fe(node_id):
-                raise StateFileError(f"{path}: participant {node_id!r} has x={x}")
-            hw_ids[node_id] = int(entry["hw_id"], 16)
+        participants = registry["participants"]
+        # the length goes first, so an edited n cannot build a huge list below
+        if len(participants) != n or [
+            (type(entry["id"]), entry["id"], entry["x"]) for entry in participants
+        ] != [(int, i, _fe(i)) for i in range(1, n + 1)]:
+            raise StateFileError(f"{path}: participants are not ids 1..{n} at x = id")
+        hw_texts = [entry["hw_id"] for entry in participants]
+        joined = "".join(hw_texts)
+        # 12 lowercase hex digits each, as registry_dict writes them, checked in
+        # one pass (a format per id cost about 2 % of a 1024-node load):
+        # bytes.fromhex refuses signs, "0x" and "_"; hex() restores no space
+        # or uppercase
+        if set(map(len, hw_texts)) != {12} or bytes.fromhex(joined).hex() != joined:
+            raise StateFileError(f"{path}: hw_ids are not 12 lowercase hex digits")
+        hw_ids = dict(zip(range(1, n + 1), [int(text, 16) for text in hw_texts]))
 
+        try:
+            specs = grouping.partition(n, m)
+        except ConfigurationError as exc:
+            raise StateFileError(f"{path}: {exc}") from exc
+        entries = registry["groups"]
+        blocks = [(spec.group_id, list(spec.member_ids)) for spec in specs]
+        if [(entry["id"], entry["members"]) for entry in entries] != blocks:
+            raise StateFileError(f"{path}: groups are not partition({n}, {m})'s blocks")
+        gamma = n // m
         group_records = {}
-        group_of = {}
-        own_sub_x = {}  # node id -> the x of its own sub-share
-        external_x = {}  # group digest -> the x of its external sub-share
-        for entry in registry["groups"]:
-            spec = GroupSpec(group_id=entry["id"], member_ids=tuple(entry["members"]))
+        for spec, entry in zip(specs, entries):
             x_lambda = (
                 None if entry["x_lambda"] is None else _element(entry["x_lambda"])
             )
-            layout = _sss_layout(x_lambda, spec.gamma)
+            layout = _sss_layout(x_lambda, gamma)
             if entry["sss_x"] != layout:
                 raise StateFileError(
-                    f"{path}: group {spec.group_id!r} has sss_x {entry['sss_x']!r}, "
+                    f"{path}: group {spec.group_id} has sss_x {entry['sss_x']!r}, "
                     f"expected {layout!r}"
                 )
-            for member in spec.member_ids:
-                group_of[member] = spec.group_id
-            if x_lambda is not None:
-                own_sub_x.update(zip(spec.member_ids, range(1, spec.gamma + 1)))
-                external_x[entry["digest_hex"]] = spec.gamma + 1
             group_records[spec.group_id] = GroupRecord(
                 spec, x_lambda, entry["digest_hex"]
             )
-
-        if (len(hw_ids), len(group_records)) != (n, m) or any(
-            len(rec.spec.member_ids) * m != n for rec in group_records.values()
-        ):
-            raise StateFileError(
-                f"{path}: n={n}, m={m} disagree with the {len(hw_ids)} "
-                f"participants in {len(group_records)} groups (n/m members each)"
-            )
-        if group_of.keys() != hw_ids.keys():
-            raise StateFileError(
-                f"{path}: the groups' members are not the participants, each once"
-            )
+        hosts = {  # digests a node may host a sub-share for, at x = gamma + 1
+            rec.digest_hex for rec in group_records.values() if rec.x_lambda is not None
+        }
 
         wanted = sorted(hw_ids if node_ids is None else set(node_ids))
         unknown = [node_id for node_id in wanted if node_id not in hw_ids]
@@ -847,7 +841,9 @@ def load_state(
                 (h["digest_hex"], h["subshare"]["x"], _element(h["subshare"]["y"]))
                 for h in raw["hosted"]
             ]
-            expected_x = None if primary is None else own_sub_x.get(node_id)
+            group = group_records[grouping.group_of(node_id, gamma)]
+            held = primary is not None and group.x_lambda is not None
+            expected_x = node_id - group.spec.member_ids[0] + 1 if held else None
             if (sub is None) != (expected_x is None) or (
                 sub is not None and sub_x != _fe(expected_x)
             ):
@@ -861,15 +857,14 @@ def load_state(
                     raise DomainError(f"{path}: y={share.y} outside [0, {p})")
             hosted = []
             for digest, x, y in hosted_raw:
-                external = external_x.get(digest)
-                if external is None or x != _fe(external):
+                if digest not in hosts or x != _fe(gamma + 1):
                     raise StateFileError(
                         f"{path}: hosted sub-share x={x} under digest "
                         f"{digest[:16]}... is no registry group's external point"
                     )
                 if not 0 <= y < p:
                     raise DomainError(f"{path}: hosted y={y} outside [0, {p})")
-                hosted.append((digest, Share(external, y)))
+                hosted.append((digest, Share(gamma + 1, y)))
             nodes[node_id] = NodeStore(
                 identity=NodeIdentity(node_id, hw_ids[node_id]),
                 primary=primary,
@@ -894,5 +889,4 @@ def load_state(
         placement_mode=placement_mode,
         groups=group_records,
         nodes=nodes,
-        group_of=group_of,
     )

@@ -27,6 +27,7 @@ from itertools import combinations, product
 
 from . import shamir
 from .errors import ConfigurationError, DomainError, EnumerationLimitError
+from .groups import group_of
 from .protocol import SystemState
 from .shamir import Share
 
@@ -157,7 +158,7 @@ def attacker_closure(state: SystemState, compromised) -> AttackerKnowledge:
         if node.primary is not None:
             known_primary[node_id] = node.primary.y
         if node.subshare is not None:
-            known_subshares[state.group_of[node_id]].add(node.subshare)
+            known_subshares[group_of(node_id, gamma)].add(node.subshare)
         for digest, sub in node.hosted:
             known_subshares[digest_to_group[digest]].add(sub)
 
@@ -260,7 +261,7 @@ def _min_under(state: SystemState, holders: dict[int, int]) -> CompromiseResult:
             outside: set[int] = set()
             for g in bonus:
                 holder = holders[g]
-                host = state.group_of[holder]
+                host = group_of(holder, gamma)
                 (inside[host] if host in inside else outside).add(holder)
             if any(len(needed) >= gamma for needed in inside.values()):
                 continue
@@ -272,7 +273,7 @@ def _min_under(state: SystemState, holders: dict[int, int]) -> CompromiseResult:
     for g, needed in inside.items():
         rest = [i for i in state.groups[g].spec.member_ids if i not in needed]
         witness.update(sorted(needed) + rest[: gamma - 1 - len(needed)])
-    spare = (i for i in sorted(state.nodes) if state.group_of[i] not in inside)
+    spare = (i for i in sorted(state.nodes) if group_of(i, gamma) not in inside)
     for node_id in spare:
         if len(witness) >= size:
             break
@@ -307,7 +308,7 @@ def admissible_placements(
     for choice in product(*candidates):
         holders = dict(zip(group_ids, choice))
         if anti_reciprocal and any(
-            holders[state.group_of[holders[g]]] in members[g] for g in group_ids
+            holders[group_of(holders[g], state.gamma)] in members[g] for g in group_ids
         ):
             continue
         placements.append(holders)

@@ -15,6 +15,7 @@ from itertools import combinations
 import pytest
 
 from lrshare.field import DEFAULT_MODULUS, PrimeField
+from lrshare.groups import group_of
 from lrshare.protocol import (
     PLACEMENT_NONE,
     PLACEMENT_RECIPROCAL,
@@ -151,7 +152,7 @@ def test_c5_worst_case_enumeration():
     reciprocal = system_setup(**TOY, placement=PLACEMENT_RECIPROCAL)
     found = min_compromise_search(reciprocal)
     assert found.size == 6
-    by_group = Counter(reciprocal.group_of[i] for i in found.witness)
+    by_group = Counter(group_of(i, reciprocal.gamma) for i in found.witness)
     assert sorted(by_group.values()) == [3, 3]
 
     toy = system_setup(**TOY)

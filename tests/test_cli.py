@@ -73,6 +73,27 @@ class TestSetup:
         assert code == 2
         assert "configuration" in err
 
+    @pytest.mark.parametrize("secret", [str(P), "3000000000", "-5", "-1"])
+    def test_secret_outside_the_field_exits_two(self, tmp_path, capsys, secret):
+        # split reduces mod p, so such a secret used to come back from
+        # recover as another number (3000000000 as 852516353) with exit 0
+        flags = [*TOY_FLAGS[:-4], "--secret", secret, "--seed", "7"]
+        code, out, err = run(capsys, "setup", *flags, state_dir=tmp_path / "s")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration:")
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("secret", ["0", str(P - 1)])
+    def test_secret_at_the_field_ends_round_trips(self, tmp_path, capsys, secret):
+        flags = [*TOY_FLAGS[:-4], "--secret", secret, "--seed", "7"]
+        assert run(capsys, "setup", *flags, state_dir=tmp_path / "s")[0] == 0
+        code, out, _ = run(
+            capsys, "recover", "--participants", *map(str, range(1, 9)),
+            state_dir=tmp_path / "s",
+        )
+        assert (code, out) == (0, secret + "\n")
+
     def test_json_format(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "setup", *TOY_FLAGS, state_dir=tmp_path / "s"
@@ -536,6 +557,107 @@ class TestRelabelledSubShares:
         edit_node(state_dir, 2, set_subshare_x("1"))
         self.assert_refused(capsys, state_dir, ["fail", "--node", "3"])
         self.assert_refused(capsys, state_dir, ["recover", "--participants", *self.EIGHT])
+
+
+class TestLayoutFromPosition:
+    """The groups are partition(n, m)'s blocks of consecutive ids, whatever
+    the registry lists.  Member lists moved consistently with the hardware
+    ids or the sub-share x used to make repair write a wrong y and recover
+    print a wrong secret with exit 0, so every command that loads them
+    exits 3 naming the registry."""
+
+    COMMANDS = {
+        "fail": ["fail", "--node", "{node}"],
+        "repair": ["repair", "--node", "{node}"],
+        "recover": ["recover", "--participants", *map(str, range(1, 9))],
+    }
+
+    def assert_refused(self, capsys, state_dir, node):
+        for name, command in self.COMMANDS.items():
+            argv = [arg.format(node=node) for arg in command]
+            code, out, err = run(capsys, *argv, state_dir=state_dir)
+            assert (code, out) == (3, ""), name
+            assert err.startswith("io-error:"), name
+            assert "registry.json" in err, name
+
+    def test_members_swapped_across_groups_exit_three(self, state_dir, capsys):
+        def swap_4_and_8(raw):
+            first, second = raw["groups"][0]["members"], raw["groups"][1]["members"]
+            first[3], second[3] = 8, 4
+            assert (first, second) == ([1, 2, 3, 8], [5, 6, 7, 4])
+            four, eight = raw["participants"][3], raw["participants"][7]
+            four["hw_id"], eight["hw_id"] = eight["hw_id"], four["hw_id"]
+
+        edit_registry(state_dir, swap_4_and_8)
+        self.assert_refused(capsys, state_dir, 4)
+
+    def test_members_reordered_within_a_group_exit_three(self, state_dir, capsys):
+        def swap_1_and_2(raw):
+            members = raw["groups"][0]["members"]
+            members[0], members[1] = members[1], members[0]
+            assert members == [2, 1, 3, 4]
+
+        def set_subshare_x(x):
+            return lambda raw: raw["sss_subshare"].update(x=x)
+
+        edit_registry(state_dir, swap_1_and_2)
+        edit_node(state_dir, 1, set_subshare_x("2"))
+        edit_node(state_dir, 2, set_subshare_x("1"))
+        self.assert_refused(capsys, state_dir, 3)
+
+    def test_one_member_groups_exit_three(self, tmp_path, capsys):
+        # n = m is consistent in every file but has gamma = 1, which setup
+        # refuses
+        directory = tmp_path / "state"
+        flags = [*TOY_FLAGS, "--placement", "none"]
+        assert run(capsys, "setup", *flags, state_dir=directory)[0] == 0
+
+        def singletons(raw):
+            raw["m"] = 12
+            raw["groups"] = [
+                {
+                    "id": entry["id"],
+                    "members": [entry["id"]],
+                    "x_lambda": None,
+                    "sss_x": [],
+                    "digest_hex": protocol.hash_identity([int(entry["hw_id"], 16)]),
+                }
+                for entry in raw["participants"]
+            ]
+
+        edit_registry(directory, singletons)
+        self.assert_refused(capsys, directory, 3)
+
+
+# Spellings int(text, 16) reads but registry_dict never writes; the last
+# three are other numbers: a sign, too few digits and too many.
+NON_CANONICAL_HW_ID = {
+    "leading-space": lambda text: " " + text,
+    "plus-sign": lambda text: "+" + text,
+    "underscore": lambda text: text[0] + "_" + text[1:],
+    "0x-prefix": lambda text: "0x" + text,
+    "uppercase": lambda text: text.upper(),
+    "13-digits-same-number": lambda text: "0" + text,
+    "minus-sign": lambda text: "-" + text[1:],
+    "11-digits": lambda text: text[1:],
+    "13-digits": lambda text: text + "0",
+}
+
+
+@pytest.mark.parametrize("form", NON_CANONICAL_HW_ID.values(), ids=NON_CANONICAL_HW_ID.keys())
+def test_non_canonical_hw_id_exits_three(state_dir, capsys, form):
+    def respell(raw):
+        entry = raw["participants"][1]
+        text = entry["hw_id"]
+        assert text != text.upper()  # holds for this seed, so uppercase differs
+        entry["hw_id"] = form(text)
+
+    edit_registry(state_dir, respell)
+    for command in (["fail", "--node", "2"], ["recover", "--participants", *ALL_NODES]):
+        code, out, err = run(capsys, *command, state_dir=state_dir)
+        assert (code, out) == (3, "")
+        assert err.startswith("io-error:")
+        assert "registry.json" in err
 
 
 @pytest.fixture(scope="module")

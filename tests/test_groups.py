@@ -10,6 +10,7 @@ from lrshare.errors import ConfigurationError, DomainError, InsufficientPointsEr
 from lrshare.groups import (
     WeakRedundancy,
     build_repair_function,
+    group_of,
     make_weak_redundancy,
     partition,
     repair_share,
@@ -34,7 +35,13 @@ class TestPartition:
             (5, 6, 7, 8),
             (9, 10, 11, 12),
         ]
-        assert all(s.gamma == 4 for s in specs)
+        assert all(len(s.member_ids) == 4 for s in specs)
+
+    @pytest.mark.parametrize("n, m", [(12, 3), (4, 1), (256, 4), (1024, 256)])
+    def test_group_of_inverts_partition(self, n, m):
+        for spec in partition(n, m):
+            for member in spec.member_ids:
+                assert group_of(member, n // m) == spec.group_id
 
     def test_single_group(self):
         (spec,) = partition(4, 1)

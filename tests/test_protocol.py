@@ -510,7 +510,7 @@ class TestPersistence:
             assert node_store_dict(partial.nodes[node_id]) == node_store_dict(
                 full.nodes[node_id]
             )
-        for name in ("k", "n", "m", "placement_mode", "groups", "group_of"):
+        for name in ("k", "n", "m", "placement_mode", "groups"):
             assert getattr(partial, name) == getattr(full, name), name
         assert partial.field.modulus == full.field.modulus
 

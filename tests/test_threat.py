@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from lrshare import protocol
 from lrshare.errors import ConfigurationError, DomainError, EnumerationLimitError
+from lrshare.groups import group_of
 from lrshare.threat import (
     SCHEME_BASELINE4,
     SCHEME_SSS5,
@@ -287,7 +288,9 @@ class TestMinCompromise:
         assert result.size == 6
         by_group = {}
         for node_id in result.witness:
-            by_group.setdefault(reciprocal_system.group_of[node_id], []).append(node_id)
+            by_group.setdefault(
+                group_of(node_id, reciprocal_system.gamma), []
+            ).append(node_id)
         assert sorted(len(v) for v in by_group.values()) == [3, 3]
 
     def test_bare_threshold_needs_eight(self, bare_system):
