@@ -24,10 +24,9 @@ from .errors import (
 )
 from .field import DEFAULT_MODULUS, PrimeField, is_probable_prime, trim_poly
 from .groups import (
-    GroupSpec,
-    WeakRedundancy,
     build_repair_function,
     make_weak_redundancy,
+    members,
     partition,
     repair_share,
     restore_subshare,

@@ -22,6 +22,7 @@ from .errors import (
     StateFileError,
 )
 from .field import DEFAULT_MODULUS
+from .groups import members
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,7 +69,7 @@ def cmd_setup(args) -> int:
     groups = [
         {
             "id": g,
-            "members": list(rec.spec.member_ids),
+            "members": list(members(g, state.gamma)),
             "digest_hex": rec.digest_hex,
         }
         for g, rec in sorted(state.groups.items())
@@ -90,8 +91,8 @@ def cmd_setup(args) -> int:
         f"state={directory}"
     ]
     for g in groups:
-        members = ",".join(str(i) for i in g["members"])
-        lines.append(f"group {g['id']}: members {members} digest {g['digest_hex']}")
+        ids = ",".join(str(i) for i in g["members"])
+        lines.append(f"group {g['id']}: members {ids} digest {g['digest_hex']}")
     _emit(args, record, "\n".join(lines))
     return EXIT_OK
 

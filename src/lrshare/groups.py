@@ -1,15 +1,18 @@
 """Share groups, repairing polynomials, and redundancy generation.
 
-Participants are split into disjoint equal-size groups.  Each group's
-repairing polynomial is the unique degree-(gamma-1) polynomial through its
-gamma member share points; it exists only to repair shares and is a random
-object with respect to the global secret.  Two redundancy flavors exist:
+Participants 1..n are split into m disjoint groups of gamma = n/m
+consecutive ids: group g's members are members(g, gamma), and
+group_of(i, gamma) is the group of participant i.  Each group's repairing
+polynomial is the unique degree-(gamma-1) polynomial through its gamma
+member share points; it exists only to repair shares and is a random object
+with respect to the global secret.  Two redundancy flavors exist:
 
-* strong redundancy: the full coefficient list, which alone determines
-  every member share (built during setup only to draw the weak point;
-  never placed anywhere, since it is as significant as all gamma shares);
+* strong redundancy: the polynomial's coefficient list that
+  build_repair_function returns, which alone determines every member share
+  (built during setup only to draw the weak point; never placed anywhere,
+  since it is as significant as all gamma shares);
 * weak redundancy: one extra point on the polynomial at a fresh public
-  abscissa, worth exactly one share.
+  abscissa, a Share worth exactly one share.
 
 The weak redundancy's value is the group sub-secret and is itself shared
 with a (gamma, gamma+1) Shamir instance; gamma sub-shares stay with the
@@ -26,7 +29,6 @@ PrimeField.interpolate_at computes straight from the points.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError, InsufficientPointsError
 from .field import PrimeField
@@ -35,24 +37,9 @@ from .field import PrimeField
 from .shamir import Share, _checked_sorted, reconstruct_polynomial, split  # noqa: F401
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """A group's id and its members: partition's block of consecutive ids."""
-
-    group_id: int
-    member_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class WeakRedundancy:
-    """One extra point (x, y) on the repairing polynomial; y is the sub-secret."""
-
-    x: int
-    y: int
-
-
-def partition(n: int, m: int) -> list[GroupSpec]:
-    """Split participants 1..n into m equal groups of consecutive ids.
+def partition(n: int, m: int) -> list[range]:
+    """Split participants 1..n into m equal groups of consecutive ids: the
+    list of members(g, gamma) for g = 1..m.
 
     Equal group sizes are required (n = m * gamma); anything else is a
     configuration error rather than a silently uneven split.
@@ -64,10 +51,13 @@ def partition(n: int, m: int) -> list[GroupSpec]:
     gamma = n // m
     if gamma < 2:
         raise ConfigurationError(f"group size must be >= 2, got {gamma}")
-    return [
-        GroupSpec(group_id=g, member_ids=tuple(range((g - 1) * gamma + 1, g * gamma + 1)))
-        for g in range(1, m + 1)
-    ]
+    return [members(g, gamma) for g in range(1, m + 1)]
+
+
+def members(group_id: int, gamma: int) -> range:
+    """The ids of group group_id's members, in the order that gives the
+    member at 1-based position i the sub-share at x = i."""
+    return range((group_id - 1) * gamma + 1, group_id * gamma + 1)
 
 
 def group_of(node_id: int, gamma: int) -> int:
@@ -86,8 +76,9 @@ def make_weak_redundancy(
     repair_function: list[int],
     excluded_x: set[int],
     rng: random.Random,
-) -> WeakRedundancy:
-    """Draw a fresh point on the repairing polynomial.
+) -> Share:
+    """Draw the weak redundancy: a fresh point on the repairing polynomial,
+    returned as a Share whose y is the group sub-secret.
 
     The abscissa is uniform over the field minus zero and the excluded set
     (the group's own member x values; uniqueness is per group).  The value
@@ -100,7 +91,7 @@ def make_weak_redundancy(
         x = rng.randrange(field.modulus)
         if x not in forbidden:
             break
-    return WeakRedundancy(x=x, y=field.poly_eval(repair_function, x))
+    return Share(x, field.poly_eval(repair_function, x))
 
 
 def setup_sss(
@@ -131,15 +122,15 @@ def _value_at(field: PrimeField, points: list[Share], gamma: int, x: int) -> int
 def repair_share(
     field: PrimeField,
     surviving: list[Share],
-    redundancy: WeakRedundancy,
+    redundancy: Share,
     failed_x: int,
     gamma: int,
 ) -> int:
     """Recompute the exact y of a failed member share.
 
     Evaluates, at the failed x, the polynomial through gamma points (the
-    surviving member shares plus the weak redundancy, the first gamma in x
-    order) with PrimeField.interpolate_at: O(gamma^2) products and no
+    surviving member shares plus the weak-redundancy point, the first gamma
+    in x order) with PrimeField.interpolate_at: O(gamma^2) products and no
     coefficient list.  Repair must return the original point exactly; a
     fresh substitute share would break the global sharing, whose
     polynomial the group cannot see.
@@ -147,7 +138,7 @@ def repair_share(
     Raises InsufficientPointsError when fewer than gamma points are
     available, i.e. more than one member of the group is missing at once.
     """
-    points = [*surviving, Share(redundancy.x, redundancy.y)]
+    points = [*surviving, redundancy]
     if len(points) < gamma:
         raise InsufficientPointsError(
             f"repair needs {gamma} points, got {len(points)}"

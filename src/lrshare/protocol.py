@@ -42,7 +42,6 @@ from .errors import (
     StateFileError,
 )
 from .field import DEFAULT_MODULUS, PrimeField
-from .groups import WeakRedundancy
 from .seeds import derive_rng
 from .shamir import Share
 
@@ -94,15 +93,15 @@ class NodeStore:
 
 @dataclass
 class GroupRecord:
-    """Public per-group registry entry.
+    """Public per-group registry entry, kept in SystemState.groups under its
+    group id; the members are groups.members(group_id, gamma).
 
-    x_lambda is None when the system was built without repair redundancy
-    (bare threshold sharing).  The sub-share x values are not stored: the
-    member at 1-based position i of spec.member_ids holds x = i, and the
-    external sub-share sits at x = gamma + 1.
+    x_lambda is the weak-redundancy point's x, or None when the system was
+    built without repair redundancy (bare threshold sharing).  The sub-share
+    x values are not stored: the member at 1-based position i of the members
+    holds x = i, and the external sub-share sits at x = gamma + 1.
     """
 
-    spec: grouping.GroupSpec
     x_lambda: int | None
     digest_hex: str
 
@@ -110,7 +109,8 @@ class GroupRecord:
 @dataclass
 class SystemState:
     """One complete simulated system: public registry plus all node stores.
-    Participant i's share sits at x = i, in group groups.group_of(i, gamma)."""
+    Participant i's share sits at x = i, in group groups.group_of(i, gamma);
+    group g's members are groups.members(g, gamma)."""
 
     field: PrimeField
     k: int
@@ -208,13 +208,13 @@ def _pick_holder(
     anti_reciprocal set, members of any group whose sub-share sits on one
     of this group's members are excluded (a mutual pair would arise).
     """
-    members = set(state.groups[group_id].spec.member_ids)
-    candidates = [i for i in sorted(state.nodes) if i not in members]
+    own = grouping.members(group_id, state.gamma)
+    candidates = [i for i in sorted(state.nodes) if i not in own]
     if anti_reciprocal:
         barred: set[int] = set()
         for other_id, holder in placed.items():
-            if other_id != group_id and holder in members:
-                barred |= set(state.groups[other_id].spec.member_ids)
+            if other_id != group_id and holder in own:
+                barred.update(grouping.members(other_id, state.gamma))
         candidates = [c for c in candidates if c not in barred]
     if not candidates:
         raise PlacementError(f"no admissible holder for group {group_id}")
@@ -246,7 +246,7 @@ def _place_all(
         staged: dict[int, int] = {}
         if placement == PLACEMENT_RECIPROCAL:
             for group_id, other_id in ((1, 2), (2, 1)):
-                others = state.groups[other_id].spec.member_ids
+                others = grouping.members(other_id, state.gamma)
                 staged[group_id] = others[rng.randrange(len(others))]
         try:
             for group_id in sorted(state.groups.keys() - staged.keys()):
@@ -288,18 +288,22 @@ def system_setup(
     placement='none' skips all redundancy (bare threshold fixture);
     'reciprocal' forces groups 1 and 2 to host each other's sub-share, the
     worst-case fixture of the compromise analysis.  Deterministic per seed.
+    Bad parameters, a non-prime modulus included, raise ConfigurationError.
     """
     if placement not in PLACEMENT_MODES:
         raise ConfigurationError(f"unknown placement mode {placement!r}")
     if seed is None:
         raise ConfigurationError("a seed is required; no ambient entropy is used")
 
-    field = PrimeField(modulus)
+    try:
+        field = PrimeField(modulus)
+    except DomainError as exc:
+        raise ConfigurationError(str(exc)) from exc
     if modulus <= n + m + 2:
         raise ConfigurationError(
             f"modulus {modulus} too small for n={n}, m={m}: need modulus > n + m + 2"
         )
-    specs = grouping.partition(n, m)
+    blocks = grouping.partition(n, m)
     gamma = n // m
     if placement == PLACEMENT_RECIPROCAL and m < 2:
         raise ConfigurationError("reciprocal placement needs at least two groups")
@@ -328,26 +332,24 @@ def system_setup(
 
     group_records: dict[int, GroupRecord] = {}
     external: dict[int, Share] = {}
-    for spec in specs:
-        digest = hash_identity(hw_ids[mid] for mid in spec.member_ids)
+    for g, block in enumerate(blocks, 1):
+        digest = hash_identity(hw_ids[mid] for mid in block)
         if placement == PLACEMENT_NONE:
-            group_records[spec.group_id] = GroupRecord(spec, None, digest)
+            group_records[g] = GroupRecord(None, digest)
             continue
-        member_shares = [shares[mid - 1] for mid in spec.member_ids]
+        member_shares = [shares[mid - 1] for mid in block]
         repair_fn = grouping.build_repair_function(field, member_shares)
         weak = grouping.make_weak_redundancy(
             field,
             repair_fn,
             {s.x for s in member_shares},
-            derive_rng(seed, f"lambda:{spec.group_id}"),
+            derive_rng(seed, f"lambda:{g}"),
         )
-        sss = grouping.setup_sss(
-            field, weak.y, gamma, derive_rng(seed, f"sss:{spec.group_id}")
-        )
-        for idx, member in enumerate(spec.member_ids):
+        sss = grouping.setup_sss(field, weak.y, gamma, derive_rng(seed, f"sss:{g}"))
+        for idx, member in enumerate(block):
             nodes[member].subshare = sss[idx]
-        external[spec.group_id] = sss[-1]
-        group_records[spec.group_id] = GroupRecord(spec, weak.x, digest)
+        external[g] = sss[-1]
+        group_records[g] = GroupRecord(weak.x, digest)
 
     state = SystemState(
         field=field,
@@ -424,16 +426,16 @@ def request_repair(
             f"proposer identity does not match registered node {failed_id}"
         )
     gamma = state.gamma
-    group = state.groups[grouping.group_of(failed_id, gamma)]
+    group_id = grouping.group_of(failed_id, gamma)
+    group = state.groups[group_id]
     if group.x_lambda is None:
-        raise ConfigurationError(
-            f"group {group.spec.group_id} carries no repair redundancy"
-        )
-    survivors = [mid for mid in group.spec.member_ids if mid != failed_id]
+        raise ConfigurationError(f"group {group_id} carries no repair redundancy")
+    block = grouping.members(group_id, gamma)
+    survivors = [mid for mid in block if mid != failed_id]
     dead = [mid for mid in survivors if state.nodes[mid].failed]
     if dead:
         raise InsufficientPointsError(
-            f"group {group.spec.group_id} has additional failures {dead}; "
+            f"group {group_id} has additional failures {dead}; "
             "local repair supports one failure at a time"
         )
     withheld = set(withhold_acks) & set(survivors)
@@ -484,13 +486,13 @@ def request_repair(
     repaired_y = grouping.repair_share(
         state.field,
         surviving_points,
-        WeakRedundancy(group.x_lambda, sub_secret),
+        Share(group.x_lambda, sub_secret),
         failed_x,
         gamma,
     )
     trace.add("delivery", failed_id, (failed_id,), x=failed_x, y=repaired_y)
 
-    failed_sss_x = failed_id - group.spec.member_ids[0] + 1
+    failed_sss_x = block.index(failed_id) + 1
     restored_sub = grouping.restore_subshare(state.field, subshares, failed_sss_x, gamma)
     trace.add("subshare-restore", failed_id, (failed_id,), sub_x=failed_sss_x)
 
@@ -562,7 +564,7 @@ def registry_dict(state: SystemState) -> dict:
         "groups": [
             {
                 "id": group_id,
-                "members": list(rec.spec.member_ids),
+                "members": list(grouping.members(group_id, state.gamma)),
                 "x_lambda": None if rec.x_lambda is None else _fe(rec.x_lambda),
                 "sss_x": _sss_layout(rec.x_lambda, state.gamma),
                 "digest_hex": rec.digest_hex,
@@ -736,10 +738,12 @@ def load_state(
     OSError names the file's full path.  This needs POSIX dir_fd support.
 
     Every x follows from position and the layout is checked, not trusted:
-    participants are ids 1..n at x = i, the groups groups.partition(n, m);
-    with redundancy a group's i-th member holds the sub-share at x = i, the
-    external one sits at gamma + 1 and sss_x is "1" .. str(gamma + 1), else
-    []. Stored x are compared as text; only y values and x_lambda are parsed.
+    participants are ids 1..n at x = i, group g's members are
+    groups.members(g, gamma), the g-th block of groups.partition(n, m); with
+    redundancy the member at 1-based index i in its block holds the sub-share
+    at x = i, the external one sits at gamma + 1 and sss_x is "1" ..
+    str(gamma + 1), else []. Stored x are compared as text; only y values and
+    x_lambda are parsed.  The state keeps no member lists of its own.
 
     A file that is not UTF-8 or not valid JSON, lacks an entry, spells a
     free field element other than as the decimal str() that save_state
@@ -791,28 +795,27 @@ def load_state(
         hw_ids = dict(zip(range(1, n + 1), [int(text, 16) for text in hw_texts]))
 
         try:
-            specs = grouping.partition(n, m)
+            blocks = grouping.partition(n, m)
         except ConfigurationError as exc:
             raise StateFileError(f"{path}: {exc}") from exc
         entries = registry["groups"]
-        blocks = [(spec.group_id, list(spec.member_ids)) for spec in specs]
-        if [(entry["id"], entry["members"]) for entry in entries] != blocks:
+        if [(entry["id"], entry["members"]) for entry in entries] != [
+            (g, list(block)) for g, block in enumerate(blocks, 1)
+        ]:
             raise StateFileError(f"{path}: groups are not partition({n}, {m})'s blocks")
         gamma = n // m
         group_records = {}
-        for spec, entry in zip(specs, entries):
+        for g, entry in enumerate(entries, 1):
             x_lambda = (
                 None if entry["x_lambda"] is None else _element(entry["x_lambda"])
             )
             layout = _sss_layout(x_lambda, gamma)
             if entry["sss_x"] != layout:
                 raise StateFileError(
-                    f"{path}: group {spec.group_id} has sss_x {entry['sss_x']!r}, "
+                    f"{path}: group {g} has sss_x {entry['sss_x']!r}, "
                     f"expected {layout!r}"
                 )
-            group_records[spec.group_id] = GroupRecord(
-                spec, x_lambda, entry["digest_hex"]
-            )
+            group_records[g] = GroupRecord(x_lambda, entry["digest_hex"])
         hosts = {  # digests a node may host a sub-share for, at x = gamma + 1
             rec.digest_hex for rec in group_records.values() if rec.x_lambda is not None
         }
@@ -841,9 +844,9 @@ def load_state(
                 (h["digest_hex"], h["subshare"]["x"], _element(h["subshare"]["y"]))
                 for h in raw["hosted"]
             ]
-            group = group_records[grouping.group_of(node_id, gamma)]
-            held = primary is not None and group.x_lambda is not None
-            expected_x = node_id - group.spec.member_ids[0] + 1 if held else None
+            g = grouping.group_of(node_id, gamma)
+            held = primary is not None and group_records[g].x_lambda is not None
+            expected_x = grouping.members(g, gamma).index(node_id) + 1 if held else None
             if (sub is None) != (expected_x is None) or (
                 sub is not None and sub_x != _fe(expected_x)
             ):

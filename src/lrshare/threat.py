@@ -27,7 +27,7 @@ from itertools import combinations, product
 
 from . import shamir
 from .errors import ConfigurationError, DomainError, EnumerationLimitError
-from .groups import group_of
+from .groups import group_of, members
 from .protocol import SystemState
 from .shamir import Share
 
@@ -174,15 +174,12 @@ def attacker_closure(state: SystemState, compromised) -> AttackerKnowledge:
                 derived[group_id] = shamir.recover(field, sorted(subs), gamma)
                 changed = True
             # node i's share sits at x = i
+            block = members(group_id, gamma)
             member_points = [
-                (mid, known_primary[mid])
-                for mid in rec.spec.member_ids
-                if mid in known_primary
+                (mid, known_primary[mid]) for mid in block if mid in known_primary
             ]
             if group_id in derived and gamma - 1 <= len(member_points) < gamma:
-                missing = [
-                    mid for mid in rec.spec.member_ids if mid not in known_primary
-                ]
+                missing = [mid for mid in block if mid not in known_primary]
                 values = field.interpolate_at(
                     member_points + [(rec.x_lambda, derived[group_id])],
                     missing,
@@ -271,7 +268,7 @@ def _min_under(state: SystemState, holders: dict[int, int]) -> CompromiseResult:
     size, inside, outside = best
     witness = set(outside)
     for g, needed in inside.items():
-        rest = [i for i in state.groups[g].spec.member_ids if i not in needed]
+        rest = [i for i in members(g, gamma) if i not in needed]
         witness.update(sorted(needed) + rest[: gamma - 1 - len(needed)])
     spare = (i for i in sorted(state.nodes) if group_of(i, gamma) not in inside)
     for node_id in spare:
@@ -299,16 +296,17 @@ def admissible_placements(
     other's sub-share are dropped.  Exponential in m and called by no
     command: it is the exhaustive reference for the closed-form sweep.
     """
-    members = {g: set(rec.spec.member_ids) for g, rec in state.groups.items()}
+    gamma = state.gamma
     group_ids = sorted(state.groups)
     candidates = [
-        [i for i in sorted(state.nodes) if i not in members[g]] for g in group_ids
+        [i for i in sorted(state.nodes) if i not in members(g, gamma)]
+        for g in group_ids
     ]
     placements = []
     for choice in product(*candidates):
         holders = dict(zip(group_ids, choice))
         if anti_reciprocal and any(
-            holders[group_of(holders[g], state.gamma)] in members[g] for g in group_ids
+            holders[group_of(holders[g], gamma)] in members(g, gamma) for g in group_ids
         ):
             continue
         placements.append(holders)
@@ -343,5 +341,5 @@ def min_compromise_over_placements(
     holders = {}
     for i, g in enumerate(group_ids):
         host = 0 if i + 1 == best >= c else (i + 1) % m
-        holders[g] = state.groups[group_ids[host]].spec.member_ids[0]
+        holders[g] = members(group_ids[host], gamma)[0]
     return _min_under(state, holders)

@@ -2,7 +2,8 @@
 
 Each test prints a PASS line with its measured numbers (run pytest with -s
 or -rA to see them) and pins the stated tolerance and time budget.  The
-locality benchmark is timing-based and intentionally non-gating (xfail).
+locality benchmark is timing-based and intentionally non-gating (xfail);
+a companion test gates locality by counting field calls instead.
 """
 
 import copy
@@ -15,7 +16,7 @@ from itertools import combinations
 import pytest
 
 from lrshare.field import DEFAULT_MODULUS, PrimeField
-from lrshare.groups import group_of
+from lrshare.groups import group_of, members
 from lrshare.protocol import (
     PLACEMENT_NONE,
     PLACEMENT_RECIPROCAL,
@@ -248,7 +249,7 @@ def test_c9_repair_cost_independent_of_system_size():
 
     def mean_repair_seconds(n, m, repairs):
         base = system_setup(8, n, m, secret=42, seed=7)
-        target_nodes = [base.groups[g].spec.member_ids[0] for g in
+        target_nodes = [members(g, base.gamma)[0] for g in
                         sorted(base.groups)][:repairs]
         while len(target_nodes) < repairs:
             target_nodes += target_nodes
@@ -270,3 +271,33 @@ def test_c9_repair_cost_independent_of_system_size():
         f"PASS criterion 9 (soft): repair {small*1e6:.0f}us at n=12 vs "
         f"{large*1e6:.0f}us at n=120, ratio {ratio:.2f} (< 2x)"
     )
+
+
+def test_c9_repair_field_operations_independent_of_system_size(monkeypatch):
+    """The gating companion of c9: repairing node 5 (gamma = 4) makes the
+    same interpolate_at calls, each of gamma points and one target, and the
+    same inv calls at every system size, so repair is O(gamma^2) field
+    operations whatever n is."""
+    record = []
+    interpolate_at, inv = PrimeField.interpolate_at, PrimeField.inv
+
+    def counted_interpolate_at(self, points, targets):
+        record.append(("interpolate_at", len(points), len(targets)))
+        return interpolate_at(self, points, targets)
+
+    def counted_inv(self, a):
+        record.append(("inv",))
+        return inv(self, a)
+
+    records = {}
+    for k, n, m in [(8, 12, 3), (8, 120, 30), (128, 1024, 256)]:
+        state = system_setup(k, n, m, secret=42, seed=7)
+        mark_failed(state, 5)
+        record.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(PrimeField, "interpolate_at", counted_interpolate_at)
+            patch.setattr(PrimeField, "inv", counted_inv)
+            request_repair(state, state.nodes[5].identity, 5)
+        records[n] = sorted(record)
+    expected = [("interpolate_at", 4, 1)] * 3 + [("inv",)] * 3
+    assert records == {12: expected, 120: expected, 1024: expected}

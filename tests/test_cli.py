@@ -94,6 +94,21 @@ class TestSetup:
         )
         assert (code, out) == (0, secret + "\n")
 
+    @pytest.mark.parametrize("modulus", ["4", "1000000", str(2**31)])
+    def test_non_prime_modulus_exits_two(self, state_dir, capsys, modulus):
+        # the secret is below every modulus, so the modulus itself is refused
+        before = read_tree(state_dir)
+        flags = [*TOY_FLAGS[:-4], "--secret", "1", "--seed", "7"]
+        code, out, err = run(
+            capsys, "setup", *flags, "--modulus", modulus, state_dir=state_dir
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration:")
+        assert "modulus must be prime" in err
+        assert read_tree(state_dir) == before
+        assert rewritten(state_dir) == set()
+
     def test_json_format(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "setup", *TOY_FLAGS, state_dir=tmp_path / "s"

@@ -8,10 +8,10 @@ import pytest
 
 from lrshare.errors import ConfigurationError, DomainError, InsufficientPointsError
 from lrshare.groups import (
-    WeakRedundancy,
     build_repair_function,
     group_of,
     make_weak_redundancy,
+    members,
     partition,
     repair_share,
     restore_subshare,
@@ -29,23 +29,24 @@ CUBIC_POINTS = [Share(1, 10), Share(2, 10), Share(3, 12), Share(4, 1)]
 
 class TestPartition:
     def test_toy_layout(self):
-        specs = partition(12, 3)
-        assert [s.member_ids for s in specs] == [
+        blocks = partition(12, 3)
+        assert [tuple(block) for block in blocks] == [
             (1, 2, 3, 4),
             (5, 6, 7, 8),
             (9, 10, 11, 12),
         ]
-        assert all(len(s.member_ids) == 4 for s in specs)
+        assert all(len(block) == 4 for block in blocks)
 
     @pytest.mark.parametrize("n, m", [(12, 3), (4, 1), (256, 4), (1024, 256)])
     def test_group_of_inverts_partition(self, n, m):
-        for spec in partition(n, m):
-            for member in spec.member_ids:
-                assert group_of(member, n // m) == spec.group_id
+        for g, block in enumerate(partition(n, m), 1):
+            assert block == members(g, n // m)
+            for member in block:
+                assert group_of(member, n // m) == g
 
     def test_single_group(self):
-        (spec,) = partition(4, 1)
-        assert spec.member_ids == (1, 2, 3, 4)
+        (block,) = partition(4, 1)
+        assert tuple(block) == (1, 2, 3, 4)
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -56,8 +57,8 @@ class TestPartition:
             partition(6, 6)
 
     def test_groups_are_disjoint_and_cover(self):
-        specs = partition(20, 5)
-        seen = [m for s in specs for m in s.member_ids]
+        blocks = partition(20, 5)
+        seen = [m for block in blocks for m in block]
         assert sorted(seen) == list(range(1, 21))
         assert len(set(seen)) == 20
 
@@ -172,16 +173,16 @@ class TestSecondSharing:
 class TestRepairShare:
     def test_known_cubic_repair(self, gf13):
         surviving = [Share(1, 10), Share(2, 10), Share(3, 12)]
-        got = repair_share(gf13, surviving, WeakRedundancy(5, 1), failed_x=4, gamma=4)
+        got = repair_share(gf13, surviving, Share(5, 1), failed_x=4, gamma=4)
         assert got == 1  # f(4) = 313 = 24*13 + 1
 
     def test_two_missing_members_rejected(self, gf13):
         surviving = [Share(1, 10), Share(2, 10)]
         with pytest.raises(InsufficientPointsError):
-            repair_share(gf13, surviving, WeakRedundancy(5, 1), failed_x=4, gamma=4)
+            repair_share(gf13, surviving, Share(5, 1), failed_x=4, gamma=4)
 
     def test_repair_of_present_share_is_identity(self, gf13):
-        got = repair_share(gf13, CUBIC_POINTS, WeakRedundancy(5, 1), failed_x=2, gamma=4)
+        got = repair_share(gf13, CUBIC_POINTS, Share(5, 1), failed_x=2, gamma=4)
         assert got == 10
 
     def test_every_member_repairable(self, big_field, rng):
@@ -221,14 +222,14 @@ class TestRestoreSubshare:
         # 4 + 2x through x=1 and x=3; the point at x=5 is off the line
         subshares = [Share(5, 0), Share(3, 10), Share(1, 6)]
         assert restore_subshare(gf13, subshares, 2, gamma=2) == Share(2, 8)
-        assert repair_share(gf13, subshares[:2], WeakRedundancy(1, 6), 2, 2) == 8
+        assert repair_share(gf13, subshares[:2], Share(1, 6), 2, 2) == 8
 
     def test_duplicate_x_beyond_the_first_gamma_rejected(self, gf13):
         subshares = [Share(1, 6), Share(3, 10), Share(5, 1), Share(5, 1)]
         with pytest.raises(DomainError):
             restore_subshare(gf13, subshares, 2, gamma=2)
         with pytest.raises(DomainError):
-            repair_share(gf13, subshares[1:], WeakRedundancy(1, 6), 2, 2)
+            repair_share(gf13, subshares[1:], Share(1, 6), 2, 2)
 
 
 class TestRedundancySignificance:

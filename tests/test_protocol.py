@@ -24,6 +24,7 @@ from lrshare.errors import (
     PlacementError,
     StateFileError,
 )
+from lrshare.groups import members
 from lrshare.protocol import (
     PLACEMENT_ANTI_RECIPROCAL,
     PLACEMENT_MODES,
@@ -107,7 +108,7 @@ class TestSetup:
         assert len(toy_system.nodes) == 12
         assert len(toy_system.groups) == 3
         assert toy_system.gamma == 4
-        assert [rec.spec.member_ids for rec in toy_system.groups.values()] == [
+        assert [tuple(members(g, toy_system.gamma)) for g in toy_system.groups] == [
             (1, 2, 3, 4),
             (5, 6, 7, 8),
             (9, 10, 11, 12),
@@ -123,15 +124,16 @@ class TestSetup:
         assert len(set(hw)) == 12
 
     def test_x_lambda_avoids_member_xs_and_zero(self, toy_system):
-        for rec in toy_system.groups.values():
-            member_xs = {toy_system.nodes[m].primary.x for m in rec.spec.member_ids}
-            assert member_xs == set(rec.spec.member_ids)
+        for g, rec in toy_system.groups.items():
+            block = members(g, toy_system.gamma)
+            member_xs = {toy_system.nodes[m].primary.x for m in block}
+            assert member_xs == set(block)
             assert rec.x_lambda != 0
             assert rec.x_lambda not in member_xs
 
     def test_member_subshares_use_group_namespace(self, toy_system):
-        for rec in toy_system.groups.values():
-            xs = [toy_system.nodes[m].subshare.x for m in rec.spec.member_ids]
+        for g in toy_system.groups:
+            xs = [toy_system.nodes[m].subshare.x for m in members(g, toy_system.gamma)]
             assert xs == [1, 2, 3, 4]
         hosted_xs = [sub.x for node in toy_system.nodes.values() for _, sub in node.hosted]
         assert hosted_xs == [5, 5, 5]
@@ -209,10 +211,10 @@ class TestPlacement:
         )
         for placement, seed in product(placements, range(50)):
             state = system_setup(8, 12, 3, secret=1, seed=seed, placement=placement)
-            for group_id, rec in state.groups.items():
+            for group_id in state.groups:
                 holder = holder_of(state, group_id)
                 assert holder is not None
-                assert holder not in rec.spec.member_ids
+                assert holder not in members(group_id, state.gamma)
 
     def test_anti_reciprocal_never_mutual(self):
         for seed in range(1000):
@@ -222,8 +224,8 @@ class TestPlacement:
             holders = {g: holder_of(state, g) for g in state.groups}
             for g, h in combinations(state.groups, 2):
                 mutual = (
-                    holders[g] in state.groups[h].spec.member_ids
-                    and holders[h] in state.groups[g].spec.member_ids
+                    holders[g] in members(h, state.gamma)
+                    and holders[h] in members(g, state.gamma)
                 )
                 assert not mutual, f"seed {seed}: groups {g},{h} host each other"
 
@@ -234,8 +236,8 @@ class TestPlacement:
             holders = {g: holder_of(state, g) for g in state.groups}
             for g, h in combinations(state.groups, 2):
                 if (
-                    holders[g] in state.groups[h].spec.member_ids
-                    and holders[h] in state.groups[g].spec.member_ids
+                    holders[g] in members(h, state.gamma)
+                    and holders[h] in members(g, state.gamma)
                 ):
                     found = True
         assert found
@@ -243,8 +245,8 @@ class TestPlacement:
     def test_reciprocal_fixture_forces_mutual_pair(self, reciprocal_system):
         state = reciprocal_system
         h1, h2 = holder_of(state, 1), holder_of(state, 2)
-        assert h1 in state.groups[2].spec.member_ids
-        assert h2 in state.groups[1].spec.member_ids
+        assert h1 in members(2, state.gamma)
+        assert h2 in members(1, state.gamma)
 
     def test_group_records_nothing_about_holder(self, toy_system):
         registry = registry_dict(toy_system)
@@ -260,9 +262,9 @@ class TestPlacement:
 
 class TestLookupHolder:
     def test_exactly_one_responder(self, toy_system):
-        for rec in toy_system.groups.values():
+        for g, rec in toy_system.groups.items():
             node_id, sub = lookup_holder(toy_system, rec.digest_hex)
-            assert node_id not in rec.spec.member_ids
+            assert node_id not in members(g, toy_system.gamma)
             assert sub.x == 5
 
     def test_unknown_digest(self, toy_system):
@@ -311,8 +313,8 @@ class TestRepair:
         state = system_setup(k, n, m, secret=seed, seed=seed, placement=placement)
         before = {i: node_store_dict(node) for i, node in state.nodes.items()}
         failed = []
-        for rec in state.groups.values():
-            idle = [i for i in rec.spec.member_ids if not state.nodes[i].hosted]
+        for g in state.groups:
+            idle = [i for i in members(g, state.gamma) if not state.nodes[i].hosted]
             if idle:
                 failed.append(data.draw(st.sampled_from(idle)))
         assert failed  # m holders cannot cover every member of m groups

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from lrshare import protocol
 from lrshare.errors import ConfigurationError, DomainError, EnumerationLimitError
-from lrshare.groups import group_of
+from lrshare.groups import group_of, members
 from lrshare.threat import (
     SCHEME_BASELINE4,
     SCHEME_SSS5,
@@ -53,7 +53,7 @@ class ReferenceCounter:
         self.node_ids = sorted(state.nodes)
         self.bit = {node_id: 1 << idx for idx, node_id in enumerate(self.node_ids)}
         self.groups = [
-            (g, self.mask_of(rec.spec.member_ids), rec.x_lambda is not None)
+            (g, self.mask_of(members(g, self.gamma)), rec.x_lambda is not None)
             for g, rec in sorted(state.groups.items())
         ]
 
@@ -211,8 +211,8 @@ class TestClosure:
         give eight shares and the secret from only six servers."""
         state = reciprocal_system
         h1, h2 = holder_of(state, 1), holder_of(state, 2)
-        members_1 = [m for m in state.groups[1].spec.member_ids if m != h2][:2] + [h2]
-        members_2 = [m for m in state.groups[2].spec.member_ids if m != h1][:2] + [h1]
+        members_1 = [m for m in members(1, state.gamma) if m != h2][:2] + [h2]
+        members_2 = [m for m in members(2, state.gamma) if m != h1][:2] + [h1]
         compromised = set(members_1) | set(members_2)
         assert len(compromised) == 6
         knowledge = attacker_closure(state, compromised)
@@ -244,7 +244,7 @@ class TestClosure:
                 if len(subs) >= gamma:
                     assert group_id in knowledge.derived_subsecrets
                 known_members = [
-                    m for m in rec.spec.member_ids if m in knowledge.known_primary
+                    m for m in members(group_id, gamma) if m in knowledge.known_primary
                 ]
                 points = len(known_members) + (
                     1 if group_id in knowledge.derived_subsecrets else 0
