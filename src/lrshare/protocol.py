@@ -535,57 +535,54 @@ def storage_accounting(state: SystemState) -> dict:
 # -- flat-file persistence ----------------------------------------------------
 
 
-def _fe(value: int) -> str:
-    return str(value)
-
-
-def _sss_layout(x_lambda: int | None, gamma: int) -> list[str]:
-    """A group's registry "sss_x": the members' sub-shares at x = 1..gamma
-    and the external one at gamma + 1, or none without repair redundancy."""
-    return [] if x_lambda is None else [_fe(x) for x in range(1, gamma + 2)]
-
-
-def registry_dict(state: SystemState) -> dict:
-    """The public registry: no y values, no sub-shares, no holder locations."""
+def _registry(modulus, k, n, m, placement_mode, hw_ids, groups) -> dict:
+    """The one statement of the registry format: hw_ids maps participant
+    ids, in ascending order, to hardware ids, groups group ids to
+    GroupRecords."""
+    gamma = n // m
+    sss_x = [str(x) for x in range(1, gamma + 2)]  # members' x, then gamma + 1
     return {
-        "modulus": state.field.modulus,
-        "k": state.k,
-        "n": state.n,
-        "m": state.m,
-        "placement_mode": state.placement_mode,
+        "modulus": modulus,
+        "k": k,
+        "n": n,
+        "m": m,
+        "placement_mode": placement_mode,
         "participants": [
-            {
-                "id": node_id,
-                "x": _fe(node_id),
-                "hw_id": f"{state.nodes[node_id].identity.hw_id:012x}",
-            }
-            for node_id in sorted(state.nodes)
+            {"id": node_id, "x": str(node_id), "hw_id": "%012x" % hw}
+            for node_id, hw in hw_ids.items()
         ],
         "groups": [
             {
                 "id": group_id,
-                "members": list(grouping.members(group_id, state.gamma)),
-                "x_lambda": None if rec.x_lambda is None else _fe(rec.x_lambda),
-                "sss_x": _sss_layout(rec.x_lambda, state.gamma),
+                "members": list(grouping.members(group_id, gamma)),
+                "x_lambda": None if rec.x_lambda is None else str(rec.x_lambda),
+                "sss_x": [] if rec.x_lambda is None else list(sss_x),
                 "digest_hex": rec.digest_hex,
             }
-            for group_id, rec in sorted(state.groups.items())
+            for group_id, rec in sorted(groups.items())
         ],
     }
 
 
-def node_store_dict(node: NodeStore) -> dict:
-    def share_dict(share: Share | None):
-        if share is None:
-            return None
-        return {"x": _fe(share.x), "y": _fe(share.y)}
+def registry_dict(state: SystemState) -> dict:
+    """The public registry: no y values, no sub-shares, no holder locations."""
+    hw_ids = {i: state.nodes[i].identity.hw_id for i in sorted(state.nodes)}
+    p, mode = state.field.modulus, state.placement_mode
+    return _registry(p, state.k, state.n, state.m, mode, hw_ids, state.groups)
 
+
+def _share_dict(share: Share | None) -> dict | None:
+    return None if share is None else {"x": str(share.x), "y": str(share.y)}
+
+
+def node_store_dict(node: NodeStore) -> dict:
+    """The one statement of a node file's format."""
     return {
         "id": node.identity.node_id,
-        "y": None if node.primary is None else _fe(node.primary.y),
-        "sss_subshare": share_dict(node.subshare),
+        "y": None if node.primary is None else str(node.primary.y),
+        "sss_subshare": _share_dict(node.subshare),
         "hosted": [
-            {"digest_hex": digest, "subshare": share_dict(sub)}
+            {"digest_hex": digest, "subshare": _share_dict(sub)}
             for digest, sub in node.hosted
         ],
     }
@@ -607,19 +604,21 @@ _READ_CHUNK = 1 << 13
 
 
 def _read_json(name: str, path: str, dir_fd: int | None = None):
-    """Parse one state file with bare os.open, os.read to EOF and json.loads.
+    """Parse one state file with bare os.open, os.read and json.loads.
 
     name is opened relative to dir_fd (an open directory) when given, so
     the kernel does not walk the directory path again for each file; path
-    is the file's full path, which an OSError names.  Bytes that are not
-    UTF-8 raise UnicodeDecodeError, a ValueError like a JSON syntax error.
+    is the file's full path, which an OSError names.  Reading stops at the
+    first chunk shorter than _READ_CHUNK, sparing a read that only finds
+    the end; a short read before the end could only cut the JSON short.
+    Bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError.
     """
     try:
         fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
         try:
-            chunks = []
-            while chunk := os.read(fd, _READ_CHUNK):
-                chunks.append(chunk)
+            chunks = [os.read(fd, _READ_CHUNK)]
+            while len(chunks[-1]) == _READ_CHUNK:
+                chunks.append(os.read(fd, _READ_CHUNK))
         finally:
             os.close(fd)
     except OSError as exc:
@@ -707,16 +706,29 @@ def save_state(
     _write_file(registry, registry, _dump(registry_dict(state)).encode())
 
 
-def _element(text: str) -> int:
-    """Parse a field element written by _fe; only its exact str() form passes.
+_ABSENT = object()
 
-    int() alone also takes " 12", "+12", "1_2", "012" and non-ASCII digits,
-    so an edited value could still parse to a different number.
-    """
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(f"{text!r} is not a canonical decimal field element")
-    return value
+
+def _first_difference(read, written, where: str = "") -> str:
+    """The JSON pointer, such as '/groups/1/sss_x', of the first value in
+    the parsed file read that differs from written."""
+    if type(read) is type(written) is dict:
+        keys = sorted(read.keys() | written.keys())
+        pairs = [(k, read.get(k, _ABSENT), written.get(k, _ABSENT)) for k in keys]
+    elif type(read) is type(written) is list and len(read) == len(written):
+        pairs = list(zip(range(len(read)), read, written))
+    else:
+        return where
+    return next(
+        _first_difference(a, b, f"{where}/{key}") for key, a, b in pairs if a != b
+    )
+
+
+def _check_written(path: str, read: dict, written: dict):
+    """Refuse a parsed file unless save_state would write it back unchanged."""
+    if read != written:
+        where = _first_difference(read, written)
+        raise StateFileError(f"{path}: {where} differs from what save_state writes")
 
 
 def load_state(
@@ -724,108 +736,71 @@ def load_state(
 ) -> SystemState:
     """Rebuild a SystemState from a directory written by save_state.
 
-    The registry is always read and checked in full.  With node_ids
-    omitted every node file is read; with node_ids given only those nodes'
-    files are, and state.nodes holds just those stores.  Such a partial
-    state is read-only: it serves recover_secret over the loaded nodes,
-    and save_state refuses to write it back as a whole.  An id that is
-    not a registry participant raises ConfigurationError before any node
-    file is opened.
+    The registry is always read in full; node_ids, if given, limits the
+    node files read to those nodes' (a read-only partial state for
+    recover_secret), and an id that is no participant raises
+    ConfigurationError before any node file is opened.  Node files are
+    opened under one descriptor of the nodes directory (POSIX dir_fd).
 
-    The nodes directory is opened once, and each node file is opened by
-    name under that descriptor, read with os.read to its end, decoded as
-    UTF-8 and parsed; every descriptor is closed on every path out.  An
-    OSError names the file's full path.  This needs POSIX dir_fd support.
-
-    Every x follows from position and the layout is checked, not trusted:
-    participants are ids 1..n at x = i, group g's members are
-    groups.members(g, gamma), the g-th block of groups.partition(n, m); with
-    redundancy the member at 1-based index i in its block holds the sub-share
-    at x = i, the external one sits at gamma + 1 and sss_x is "1" ..
-    str(gamma + 1), else []. Stored x are compared as text; only y values and
-    x_lambda are parsed.  The state keeps no member lists of its own.
-
-    A file that is not UTF-8 or not valid JSON, lacks an entry, spells a
-    free field element other than as the decimal str() that save_state
-    writes, names an unknown placement mode or disagrees with the registry
-    raises StateFileError, as does a registry whose modulus is not a
-    prime, whose k, n and m are not integers with 1 <= k <= n for which
-    partition(n, m) exists (gamma >= 2), whose participants, groups or
-    sss_x are not the layout above, or whose hw_id is not 12 lowercase hex
-    digits; a stored share value outside [0, p) raises DomainError.  Both
-    name the file.  A node file agrees with the registry when its id is the
-    node it is loaded as, its own sub-share (held exactly while the node is
-    alive in a system with redundancy) sits at its position's x, and every
-    hosted digest names a group with redundancy and its sub-share sits at
-    gamma + 1.  Every node file that is read gets all of these checks.
+    Every x follows from position.  A file is accepted only if the writer
+    gives its parsed JSON back: _registry of the values read, or
+    node_store_dict of the store read.  Otherwise, or when a file is not
+    UTF-8 JSON or lacks an entry, StateFileError names the file and the
+    first key that differs.  So do the checks a rewrite cannot make: a
+    prime modulus, integers 1 <= k <= n, n participants and m groups,
+    partition(n, m), a known placement mode, hw_ids in [0, 2**48), a
+    sub-share held exactly while the node is alive and its group has
+    redundancy, and hosted digests that name a group with redundancy.  A
+    share value outside [0, p) raises DomainError; it and an OSError name
+    the file.
     """
     root = os.fspath(directory)
     path = os.path.join(root, REGISTRY_FILE)  # the file being parsed, for errors
     dir_fd = None
     try:
         registry = _read_json(path, path)
+        k, n, m = registry["k"], registry["n"], registry["m"]
+        participants, entries = registry["participants"], registry["groups"]
+        mode = registry["placement_mode"]
         try:
             field = PrimeField(registry["modulus"])
         except DomainError as exc:
             raise StateFileError(f"{path}: {exc}") from exc
-        k, n, m = registry["k"], registry["n"], registry["m"]
         if any(type(v) is not int for v in (k, n, m)) or not 1 <= k <= n:
             raise StateFileError(
                 f"{path}: need integers k, n, m with 1 <= k <= n, "
                 f"got k={k!r}, n={n!r}, m={m!r}"
             )
-        placement_mode = registry["placement_mode"]
-        if placement_mode not in PLACEMENT_MODES:
-            raise StateFileError(f"{path}: unknown placement_mode {placement_mode!r}")
-
-        participants = registry["participants"]
-        # the length goes first, so an edited n cannot build a huge list below
-        if len(participants) != n or [
-            (type(entry["id"]), entry["id"], entry["x"]) for entry in participants
-        ] != [(int, i, _fe(i)) for i in range(1, n + 1)]:
-            raise StateFileError(f"{path}: participants are not ids 1..{n} at x = id")
-        hw_texts = [entry["hw_id"] for entry in participants]
-        joined = "".join(hw_texts)
-        # 12 lowercase hex digits each, as registry_dict writes them, checked in
-        # one pass (a format per id cost about 2 % of a 1024-node load):
-        # bytes.fromhex refuses signs, "0x" and "_"; hex() restores no space
-        # or uppercase
-        if set(map(len, hw_texts)) != {12} or bytes.fromhex(joined).hex() != joined:
-            raise StateFileError(f"{path}: hw_ids are not 12 lowercase hex digits")
-        hw_ids = dict(zip(range(1, n + 1), [int(text, 16) for text in hw_texts]))
-
+        if mode not in PLACEMENT_MODES:
+            raise StateFileError(f"{path}: unknown placement_mode {mode!r}")
+        # the counts go first, so an edited n or m cannot build huge lists below
+        if len(participants) != n or len(entries) != m:
+            raise StateFileError(f"{path}: need {n} participants and {m} groups")
         try:
-            blocks = grouping.partition(n, m)
+            grouping.partition(n, m)
         except ConfigurationError as exc:
             raise StateFileError(f"{path}: {exc}") from exc
-        entries = registry["groups"]
-        if [(entry["id"], entry["members"]) for entry in entries] != [
-            (g, list(block)) for g, block in enumerate(blocks, 1)
-        ]:
-            raise StateFileError(f"{path}: groups are not partition({n}, {m})'s blocks")
-        gamma = n // m
-        group_records = {}
+        hw_ids = dict(zip(range(1, n + 1), [int(e["hw_id"], 16) for e in participants]))
+        # a sign or a 13th digit formats back to its own text
+        if not 0 <= min(hw_ids.values()) <= max(hw_ids.values()) < 1 << _HW_BITS:
+            raise StateFileError(f"{path}: a hw_id is outside [0, 2**{_HW_BITS})")
+        groups = {}
         for g, entry in enumerate(entries, 1):
-            x_lambda = (
-                None if entry["x_lambda"] is None else _element(entry["x_lambda"])
-            )
-            layout = _sss_layout(x_lambda, gamma)
-            if entry["sss_x"] != layout:
-                raise StateFileError(
-                    f"{path}: group {g} has sss_x {entry['sss_x']!r}, "
-                    f"expected {layout!r}"
-                )
-            group_records[g] = GroupRecord(x_lambda, entry["digest_hex"])
-        hosts = {  # digests a node may host a sub-share for, at x = gamma + 1
-            rec.digest_hex for rec in group_records.values() if rec.x_lambda is not None
-        }
+            x_lambda = entry["x_lambda"]
+            x_lambda = None if x_lambda is None else int(x_lambda)
+            groups[g] = GroupRecord(x_lambda, entry["digest_hex"])
+        p = field.modulus
+        _check_written(path, registry, _registry(p, k, n, m, mode, hw_ids, groups))
 
         wanted = sorted(hw_ids if node_ids is None else set(node_ids))
         unknown = [node_id for node_id in wanted if node_id not in hw_ids]
         if unknown:
             raise ConfigurationError(f"unknown node {', '.join(map(str, unknown))}")
 
-        p = field.modulus
+        gamma = n // m
+        hosts = {  # digests a node may host an external sub-share for
+            rec.digest_hex for rec in groups.values() if rec.x_lambda is not None
+        }
         node_dir = os.path.join(root, NODE_DIR)
         width = len(str(n))
         nodes = {}
@@ -834,46 +809,34 @@ def load_state(
             name = _node_name(node_id, width)
             path = f"{node_dir}/{name}"
             raw = _read_json(name, path, dir_fd)
-            if raw["id"] != node_id:
-                raise StateFileError(f"{path}: id {raw['id']!r} is not node {node_id}")
-            primary = None if raw["y"] is None else Share(node_id, _element(raw["y"]))
-            sub = raw["sss_subshare"]
-            sub_x = None if sub is None else sub["x"]
-            sub_y = None if sub is None else _element(sub["y"])
-            hosted_raw = [
-                (h["digest_hex"], h["subshare"]["x"], _element(h["subshare"]["y"]))
-                for h in raw["hosted"]
-            ]
+            y, sub, hosted_raw = raw["y"], raw["sss_subshare"], raw["hosted"]
             g = grouping.group_of(node_id, gamma)
-            held = primary is not None and group_records[g].x_lambda is not None
-            expected_x = grouping.members(g, gamma).index(node_id) + 1 if held else None
-            if (sub is None) != (expected_x is None) or (
-                sub is not None and sub_x != _fe(expected_x)
-            ):
+            held = y is not None and groups[g].x_lambda is not None
+            if (sub is not None) != held:
                 raise StateFileError(
-                    f"{path}: sss_subshare x={sub_x} disagrees with the registry "
-                    f"(expected {expected_x})"
+                    f"{path}: sss_subshare must be {'set' if held else 'null'}"
                 )
-            subshare = None if sub is None else Share(expected_x, sub_y)
+            primary = None if y is None else Share(node_id, int(y))
+            x = node_id - (g - 1) * gamma  # the node's position in its group
+            subshare = None if sub is None else Share(x, int(sub["y"]))
+            hosted = []
+            for entry in hosted_raw:
+                digest = entry["digest_hex"]
+                if digest not in hosts:
+                    raise StateFileError(
+                        f"{path}: hosted {digest!r} names no group with redundancy"
+                    )
+                hosted.append((digest, Share(gamma + 1, int(entry["subshare"]["y"]))))
+            identity = NodeIdentity(node_id, hw_ids[node_id])
+            node = NodeStore(identity, primary, subshare, hosted)
+            _check_written(path, raw, node_store_dict(node))
             for share in (primary, subshare):
                 if share is not None and not 0 <= share.y < p:
                     raise DomainError(f"{path}: y={share.y} outside [0, {p})")
-            hosted = []
-            for digest, x, y in hosted_raw:
-                if digest not in hosts or x != _fe(gamma + 1):
-                    raise StateFileError(
-                        f"{path}: hosted sub-share x={x} under digest "
-                        f"{digest[:16]}... is no registry group's external point"
-                    )
-                if not 0 <= y < p:
-                    raise DomainError(f"{path}: hosted y={y} outside [0, {p})")
-                hosted.append((digest, Share(gamma + 1, y)))
-            nodes[node_id] = NodeStore(
-                identity=NodeIdentity(node_id, hw_ids[node_id]),
-                primary=primary,
-                subshare=subshare,
-                hosted=hosted,
-            )
+            for _, share in hosted:
+                if not 0 <= share.y < p:
+                    raise DomainError(f"{path}: hosted y={share.y} outside [0, {p})")
+            nodes[node_id] = node
     except SharingError:
         # DomainError is a ValueError too; it must keep its own exit code
         raise
@@ -884,12 +847,4 @@ def load_state(
         if dir_fd is not None:
             os.close(dir_fd)
 
-    return SystemState(
-        field=field,
-        k=k,
-        n=n,
-        m=m,
-        placement_mode=placement_mode,
-        groups=group_records,
-        nodes=nodes,
-    )
+    return SystemState(field, k, n, m, mode, groups, nodes)

@@ -109,6 +109,16 @@ class TestSetup:
         assert read_tree(state_dir) == before
         assert rewritten(state_dir) == set()
 
+    @pytest.mark.parametrize("secret", ["42", "1"])
+    def test_non_prime_modulus_is_named_before_the_secret(self, tmp_path, capsys, secret):
+        # 42 is outside [0, 4) as well, but the option at fault is the modulus
+        flags = [*TOY_FLAGS[:-4], "--secret", secret, "--seed", "7", "--modulus", "4"]
+        code, out, err = run(capsys, "setup", *flags, state_dir=tmp_path / "s")
+        assert (code, out) == (2, "")
+        assert err.startswith("configuration:")
+        assert "modulus must be prime" in err
+        assert not (tmp_path / "s").exists()
+
     def test_json_format(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "setup", *TOY_FLAGS, state_dir=tmp_path / "s"
@@ -498,6 +508,39 @@ class TestNonCanonicalElements:
         assert (code, out) == (3, "")
         assert err.startswith("io-error:")
         assert str(path) in err
+
+
+# (file, the dict in it that gets a key save_state never writes)
+EXTRA_KEY_PLACES = {
+    "registry": ("registry", lambda raw: raw),
+    "participant": ("registry", lambda raw: raw["participants"][4]),
+    "group": ("registry", lambda raw: raw["groups"][1]),
+    "node": (2, lambda raw: raw),
+    "sss_subshare": (2, lambda raw: raw["sss_subshare"]),
+    "hosted": ("holder", lambda raw: raw["hosted"][0]),
+    "hosted-subshare": ("holder", _hosted_subshare),
+}
+
+
+@pytest.mark.parametrize("place", EXTRA_KEY_PLACES.values(), ids=EXTRA_KEY_PLACES.keys())
+def test_key_save_state_never_writes_exits_three(state_dir, capsys, place):
+    # a file is accepted only as save_state writes it, so an added key used
+    # to load with exit 0 and now names the file
+    where, locate = place
+    if where == "registry":
+        path = state_dir / "registry.json"
+    else:
+        node = hosting_node(state_dir) if where == "holder" else where
+        path = state_dir / "nodes" / f"node_{node:02d}.json"
+    raw = json.loads(path.read_text())
+    locate(raw)["note"] = "1"
+    path.write_text(json.dumps(raw))
+    for command in (["fail", "--node", "1"], ["recover", "--participants", *ALL_NODES]):
+        code, out, err = run(capsys, *command, state_dir=state_dir)
+        assert (code, out) == (3, "")
+        assert err.startswith("io-error:")
+        assert str(path) in err
+        assert "note" in err
 
 
 @pytest.mark.parametrize("placement", ["none", "random"])

@@ -6,9 +6,10 @@ import json
 import os
 import tempfile
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lrshare import protocol
@@ -22,6 +23,7 @@ from lrshare.errors import (
     InsufficientSharesError,
     IntegrityError,
     PlacementError,
+    SharingError,
     StateFileError,
 )
 from lrshare.groups import members
@@ -479,7 +481,80 @@ class TestRecoverSecret:
             assert recover_secret(toy_system, subset) == 42
 
 
+def json_leaves(value, where=()):
+    """(key path, value) of every string, number and null in parsed JSON."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from json_leaves(item, (*where, key))
+    else:
+        yield where, value
+
+
+@st.composite
+def leaf_edits(draw, leaf):
+    """Another value for one JSON leaf: a digit edit, a respelling, a JSON
+    number, null or a list."""
+    text = leaf if isinstance(leaf, str) else json.dumps(leaf)
+    digits = [i for i, c in enumerate(text) if c.isdigit()]
+    kind = draw(st.sampled_from(["digit", "respelling", "number", "null", "list"]))
+    if kind == "digit" and digits:
+        i = draw(st.sampled_from(digits))
+        digit = draw(st.sampled_from("0123456789".replace(text[i], "")))
+        edited = text[:i] + digit + text[i + 1 :]
+        return edited if isinstance(leaf, str) else int(edited)
+    if kind == "respelling":
+        forms = [" " + text, "+" + text, "-" + text, "0" + text, text + "0", text.upper()]
+        if type(leaf) is int:
+            forms.append(float(leaf))
+        return draw(st.sampled_from(forms))
+    if kind == "number":
+        if text.lstrip("-").isdigit():
+            return int(text)
+        return draw(st.integers(-(2**64), 2**64))
+    if kind == "null":
+        return None
+    return [leaf]
+
+
 class TestPersistence:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(system_shapes(max_n=24), st.booleans(), st.data())
+    def test_loads_only_what_save_state_writes_back(self, shape, fail_one, data):
+        """One leaf of one saved file replaced: either load_state refuses the
+        state, or the writer gives every file back as it now reads."""
+        k, n, m, placement, seed = shape
+        state = system_setup(k, n, m, secret=seed, seed=seed, placement=placement)
+        if fail_one:
+            mark_failed(state, seed % n + 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            save_state(state, directory)
+            nodes = sorted((directory / "nodes").iterdir())
+            path = data.draw(
+                st.just(directory / "registry.json") | st.sampled_from(nodes), label="file"
+            )
+            raw = json.loads(path.read_text())
+            where, leaf = data.draw(st.sampled_from(list(json_leaves(raw))), label="leaf")
+            edited = data.draw(leaf_edits(leaf), label="edited")
+            assume(json.dumps(edited) != json.dumps(leaf))
+            owner = raw
+            for key in where[:-1]:
+                owner = owner[key]
+            owner[where[-1]] = edited
+            path.write_text(json.dumps(raw))
+            try:
+                loaded = load_state(directory)
+            except SharingError:
+                return
+            registry = json.loads((directory / "registry.json").read_text())
+            assert registry_dict(loaded) == registry
+            for node_id, node in loaded.nodes.items():
+                name = f"node_{node_id:0{len(str(n))}d}.json"
+                assert node_store_dict(node) == json.loads(
+                    (directory / "nodes" / name).read_text()
+                )
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(system_shapes(max_n=48), st.booleans())
     def test_roundtrip_random_systems(self, shape, fail_one):
