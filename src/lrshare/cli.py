@@ -101,7 +101,8 @@ def cmd_setup(args) -> int:
 
 def cmd_fail(args) -> int:
     directory = _state_dir(args)
-    state = protocol.load_state(directory)
+    # failing is local: the registry and the node's own file are all it reads
+    state = protocol.load_state(directory, [args.node])
     protocol.mark_failed(state, args.node)
     protocol.save_state(state, directory, [args.node])
     _emit(

@@ -603,15 +603,26 @@ def _node_name(node_id: int, width: int) -> str:
 _READ_CHUNK = 1 << 13
 
 
+def _refuse_float(text: str):
+    raise ValueError(f"number {text} is not an integer")
+
+
+# save_state writes no float, so 1.0 where it writes 1 is refused, as are
+# NaN and Infinity.  One decoder serves every file: json.loads with a
+# keyword builds a new decoder per call, about 2 us per file.
+_DECODER = json.JSONDecoder(parse_float=_refuse_float, parse_constant=_refuse_float)
+
+
 def _read_json(name: str, path: str, dir_fd: int | None = None):
-    """Parse one state file with bare os.open, os.read and json.loads.
+    """Parse one state file with bare os.open, os.read and _DECODER.
 
     name is opened relative to dir_fd (an open directory) when given, so
     the kernel does not walk the directory path again for each file; path
     is the file's full path, which an OSError names.  Reading stops at the
     first chunk shorter than _READ_CHUNK, sparing a read that only finds
     the end; a short read before the end could only cut the JSON short.
-    Bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError.
+    Bytes that are not UTF-8 raise UnicodeDecodeError and a float raises
+    ValueError; both are ValueErrors.
     """
     try:
         fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
@@ -624,7 +635,7 @@ def _read_json(name: str, path: str, dir_fd: int | None = None):
     except OSError as exc:
         exc.filename = path
         raise
-    return json.loads(b"".join(chunks).decode())
+    return _DECODER.decode(b"".join(chunks).decode())
 
 
 def _write_file(name: str, path: str, data: bytes, dir_fd: int | None = None):
@@ -706,6 +717,19 @@ def save_state(
     _write_file(registry, registry, _dump(registry_dict(state)).encode())
 
 
+def _is_digest(value) -> bool:
+    """Whether value is what hash_identity returns, 64 lowercase hex digits.
+
+    A round trip through bytes: fromhex also reads spaces and capitals, and
+    hex gives neither back.  It takes a third of the time of re.fullmatch
+    under CPython 3.11, which a partial load at m = 256 would feel.
+    """
+    try:
+        return len(value) == 64 and bytes.fromhex(value).hex() == value
+    except (TypeError, ValueError):
+        return False
+
+
 _ABSENT = object()
 
 
@@ -737,10 +761,14 @@ def load_state(
     """Rebuild a SystemState from a directory written by save_state.
 
     The registry is always read in full; node_ids, if given, limits the
-    node files read to those nodes' (a read-only partial state for
-    recover_secret), and an id that is no participant raises
-    ConfigurationError before any node file is opened.  Node files are
-    opened under one descriptor of the nodes directory (POSIX dir_fd).
+    node files read to those nodes', and an id that is no participant
+    raises ConfigurationError before any node file is opened.  A partial
+    state serves recover_secret, and mark_failed of a loaded node, whose
+    file alone save_state(state, directory, node_ids) then writes back; a
+    full save refuses it.  A file left unread is left unchecked, so repair
+    and the threat analysis, which need every node's hosted list, load in
+    full.  Node files are opened under one descriptor of the nodes
+    directory (POSIX dir_fd).
 
     Every x follows from position.  A file is accepted only if the writer
     gives its parsed JSON back: _registry of the values read, or
@@ -748,7 +776,8 @@ def load_state(
     UTF-8 JSON or lacks an entry, StateFileError names the file and the
     first key that differs.  So do the checks a rewrite cannot make: a
     prime modulus, integers 1 <= k <= n, n participants and m groups,
-    partition(n, m), a known placement mode, hw_ids in [0, 2**48), a
+    partition(n, m), a known placement mode, hw_ids in [0, 2**48), each
+    group's digest_hex 64 lowercase hex digits, no float anywhere, a
     sub-share held exactly while the node is alive and its group has
     redundancy, and hosted digests that name a group with redundancy.  A
     share value outside [0, p) raises DomainError; it and an OSError name
@@ -788,7 +817,12 @@ def load_state(
         for g, entry in enumerate(entries, 1):
             x_lambda = entry["x_lambda"]
             x_lambda = None if x_lambda is None else int(x_lambda)
-            groups[g] = GroupRecord(x_lambda, entry["digest_hex"])
+            digest = entry["digest_hex"]
+            if not _is_digest(digest):
+                raise StateFileError(
+                    f"{path}: group {g} digest_hex is not 64 lowercase hex digits"
+                )
+            groups[g] = GroupRecord(x_lambda, digest)
         p = field.modulus
         _check_written(path, registry, _registry(p, k, n, m, mode, hw_ids, groups))
 

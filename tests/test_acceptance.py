@@ -8,6 +8,7 @@ a companion test gates locality by counting field calls instead.
 
 import copy
 import math
+import os
 import random
 import time
 from collections import Counter
@@ -15,6 +16,7 @@ from itertools import combinations
 
 import pytest
 
+from lrshare.cli import main
 from lrshare.field import DEFAULT_MODULUS, PrimeField
 from lrshare.groups import group_of, members
 from lrshare.protocol import (
@@ -301,3 +303,25 @@ def test_c9_repair_field_operations_independent_of_system_size(monkeypatch):
         records[n] = sorted(record)
     expected = [("interpolate_at", 4, 1)] * 3 + [("inv",)] * 3
     assert records == {12: expected, 120: expected, 1024: expected}
+
+
+def test_c9_fail_opens_the_same_files_at_every_system_size(tmp_path, monkeypatch):
+    """Failing is local too: `lrshare fail --node 5` makes four os.open
+    calls at every system size, for the registry, nodes/, the node's file
+    and its .tmp, and opens no other node's file."""
+    opened = []
+    real_open = os.open
+
+    def counted_open(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return real_open(path, *args, **kwargs)
+
+    for k, n, m in [(8, 12, 3), (8, 120, 30), (128, 1024, 256)]:
+        directory = tmp_path / str(n)
+        save_state(system_setup(k, n, m, secret=42, seed=7), directory)
+        opened.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "open", counted_open)
+            assert main(["--state-dir", str(directory), "fail", "--node", "5"]) == 0
+        name = f"node_{5:0{len(str(n))}d}.json"
+        assert opened == ["registry.json", "nodes", name, name + ".tmp"], n

@@ -173,6 +173,20 @@ class TestFailAndRecover:
         assert code == 0
         assert out.strip() == "42"
 
+    def test_fail_reads_only_its_node(self, state_dir, capsys):
+        # failing is local; the repair's digest broadcast reads every file
+        path = state_dir / "nodes" / "node_12.json"
+        path.write_text(path.read_text()[:20])
+        before = read_tree(state_dir)
+        code, out, err = run(capsys, "fail", "--node", "3", state_dir=state_dir)
+        assert (code, out, err) == (0, "node 3 failed: private data erased\n", "")
+        assert rewritten(state_dir) == {"nodes/node_03.json"}
+        assert read_tree(state_dir)["nodes/node_12.json"] == before["nodes/node_12.json"]
+        code, out, err = run(capsys, "repair", "--node", "3", state_dir=state_dir)
+        assert (code, out) == (3, "")
+        assert err.startswith("io-error:")
+        assert str(path) in err
+
     def test_recover_unknown_participant_exits_two(self, state_dir, capsys):
         code, out, err = run(
             capsys, "recover", "--participants", *map(str, range(1, 8)), "99",
@@ -186,6 +200,8 @@ class TestFailAndRecover:
     def test_fail_unknown_node_exits_two(self, state_dir, capsys):
         code, _, err = run(capsys, "fail", "--node", "99", state_dir=state_dir)
         assert code == 2
+        assert err.startswith("configuration:")
+        assert "99" in err
 
     def test_double_fail_exits_two(self, state_dir, capsys):
         assert run(capsys, "fail", "--node", "3", state_dir=state_dir)[0] == 0
@@ -275,6 +291,43 @@ class TestCorruptState:
         assert err.startswith("io-error:")
         assert str(path) in err
 
+    @pytest.mark.parametrize(
+        "digest", [["x"], None, "f" * 63, "F" * 64, "g" * 64, "f" * 64 + "\n"]
+    )
+    def test_digest_hex_must_be_64_lowercase_hex_digits(self, tmp_path, capsys, digest):
+        # no node hosts a digest in a bare threshold system, so ["x"] used to
+        # load and make attack --mode enum raise TypeError
+        directory = tmp_path / "state"
+        flags = [*TOY_FLAGS, "--placement", "none"]
+        assert run(capsys, "setup", *flags, state_dir=directory)[0] == 0
+        edit_registry(directory, lambda raw: raw["groups"][0].update(digest_hex=digest))
+        for command in (["attack", "--mode", "enum"], ["fail", "--node", "1"]):
+            code, out, err = run(capsys, *command, state_dir=directory)
+            assert (code, out) == (3, "")
+            assert err.startswith("io-error:")
+            assert str(directory / "registry.json") in err
+            assert "digest_hex" in err
+
+    @pytest.mark.parametrize("number", [1.0, float("nan")], ids=["1.0", "NaN"])
+    def test_float_exits_three(self, state_dir, capsys, number):
+        # save_state writes no float; node 1's id as 1.0 used to recover 42
+        path = edit_node(state_dir, 1, lambda raw: raw.update(id=number))
+        code, out, err = self.recover_all(capsys, state_dir)
+        assert (code, out) == (3, "")
+        assert err.startswith("io-error:")
+        assert str(path) in err
+
+        def first_member(raw):
+            raw["groups"][0]["members"][0] = number
+
+        edit_node(state_dir, 1, lambda raw: raw.update(id=1))
+        assert self.recover_all(capsys, state_dir)[0] == 0
+        edit_registry(state_dir, first_member)
+        code, out, err = self.recover_all(capsys, state_dir)
+        assert (code, out) == (3, "")
+        assert err.startswith("io-error:")
+        assert str(state_dir / "registry.json") in err
+
     def test_truncated_node_file_exits_three(self, state_dir, capsys):
         path = state_dir / "nodes" / "node_02.json"
         path.write_text('{"id": 2, "y": ')
@@ -287,7 +340,7 @@ class TestCorruptState:
     def test_invalid_utf8_node_file_exits_three(self, state_dir, capsys):
         path = state_dir / "nodes" / "node_07.json"
         path.write_bytes(path.read_bytes().replace(b'"y": "', b'"y": "\xff', 1))
-        code, out, err = run(capsys, "fail", "--node", "1", state_dir=state_dir)
+        code, out, err = run(capsys, "fail", "--node", "7", state_dir=state_dir)
         assert code == 3
         assert out == ""
         assert err.startswith("io-error:")
@@ -318,7 +371,7 @@ class TestCorruptState:
 
     def test_missing_key_exits_three(self, state_dir, capsys):
         edit_node(state_dir, 5, lambda raw: raw.pop("sss_subshare"))
-        code, _, err = run(capsys, "fail", "--node", "1", state_dir=state_dir)
+        code, _, err = run(capsys, "fail", "--node", "5", state_dir=state_dir)
         assert code == 3
         assert err.startswith("io-error:")
         assert "node_05.json" in err
@@ -528,14 +581,16 @@ def test_key_save_state_never_writes_exits_three(state_dir, capsys, place):
     # to load with exit 0 and now names the file
     where, locate = place
     if where == "registry":
-        path = state_dir / "registry.json"
+        node, path = 1, state_dir / "registry.json"
     else:
         node = hosting_node(state_dir) if where == "holder" else where
         path = state_dir / "nodes" / f"node_{node:02d}.json"
     raw = json.loads(path.read_text())
     locate(raw)["note"] = "1"
     path.write_text(json.dumps(raw))
-    for command in (["fail", "--node", "1"], ["recover", "--participants", *ALL_NODES]):
+    # fail reads the registry and the failing node's file only
+    fail = ["fail", "--node", str(node)]
+    for command in (fail, ["recover", "--participants", *ALL_NODES]):
         code, out, err = run(capsys, *command, state_dir=state_dir)
         assert (code, out) == (3, "")
         assert err.startswith("io-error:")
@@ -737,9 +792,10 @@ def toy_state_files(tmp_path_factory):
 def test_corrupt_node_file_keeps_exit_contract(
     toy_state_files, corrupt, offset, truncate, data
 ):
-    """One node file truncated or one byte flipped: fail and repair of another
-    node exit 0, 3 or 4 and never raise; bytes that no longer parse as JSON
-    exit 3 naming the file."""
+    """One node file truncated or one byte flipped: fail of another node
+    exits 0 without reading it, and the repair that follows, which reads
+    every file, exits 0, 3 or 4 and never raises; bytes that no longer
+    parse as JSON make it exit 3 naming the file."""
     node = (corrupt + offset - 1) % 12 + 1  # never the corrupted node
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
@@ -760,15 +816,20 @@ def test_corrupt_node_file_keeps_exit_contract(
             parses = True
         except ValueError:
             parses = False
+        results = {}
         for command in ("fail", "repair"):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["--state-dir", tmp, command, "--node", str(node)])
-            assert code in (0, 3, 4), (command, code, out.getvalue(), err.getvalue())
-            if not parses:
-                assert code == 3
-                assert err.getvalue().startswith("io-error:")
-                assert str(path) in err.getvalue()
+            results[command] = (code, out.getvalue(), err.getvalue())
+        assert results["fail"][0] == 0, results
+        assert path.read_bytes() == bad
+        code, out, err = results["repair"]
+        assert code in (0, 3, 4), results
+        if not parses:
+            assert code == 3
+            assert err.startswith("io-error:")
+            assert str(path) in err
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
