@@ -22,7 +22,7 @@ from .errors import (
     SharingError,
     StateFileError,
 )
-from .field import DEFAULT_MODULUS, PrimeField, is_probable_prime, trim_poly
+from .field import DEFAULT_MODULUS, PrimeField, is_probable_prime
 from .groups import (
     build_repair_function,
     make_weak_redundancy,

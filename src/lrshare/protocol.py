@@ -195,30 +195,23 @@ def hash_identity(hw_ids: Iterable[int]) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _pick_holder(
-    state: SystemState,
-    group_id: int,
-    rng: random.Random,
-    placed: dict[int, int],
-    anti_reciprocal: bool,
+def _draw_holder(
+    group_id: int, barred: set[int], n: int, gamma: int, rng: random.Random
 ) -> int:
-    """Uniform draw from the admissible holders for one group.
+    """Uniform draw from nodes 1..n outside the barred groups' members.
 
-    placed maps already-decided groups to their holders; with
-    anti_reciprocal set, members of any group whose sub-share sits on one
-    of this group's members are excluded (a mutual pair would arise).
+    The draw indexes the ascending list of admissible ids without building
+    it: rng.randrange(count) is the index, and each barred block of gamma
+    ids at or below the id found so far pushes it gamma ids on.
     """
-    own = grouping.members(group_id, state.gamma)
-    candidates = [i for i in sorted(state.nodes) if i not in own]
-    if anti_reciprocal:
-        barred: set[int] = set()
-        for other_id, holder in placed.items():
-            if other_id != group_id and holder in own:
-                barred.update(grouping.members(other_id, state.gamma))
-        candidates = [c for c in candidates if c not in barred]
-    if not candidates:
+    count = n - gamma * len(barred)
+    if count <= 0:
         raise PlacementError(f"no admissible holder for group {group_id}")
-    return candidates[rng.randrange(len(candidates))]
+    node_id = rng.randrange(count) + 1
+    for g in sorted(barred):
+        if (g - 1) * gamma < node_id:  # block g starts at or below node_id
+            node_id += gamma
+    return node_id
 
 
 _PLACEMENT_ATTEMPTS = 100
@@ -232,9 +225,12 @@ def _place_all(
 ):
     """Assign every group's external sub-share in one placement round.
 
-    Under 'reciprocal' the round starts from a pre-staged pair: group 1's
-    sub-share on a member of group 2 and group 2's on a member of group 1,
-    drawn first; the other groups are placed as under 'random'.
+    Groups are placed in id order, each on a node drawn uniformly from
+    those outside its barred groups.  A group always bars itself.  Under
+    'reciprocal', group 1 also bars every group but 2, and group 2 every
+    group but 1, so the two host each other.  Under 'anti-reciprocal', a
+    group also bars every group whose sub-share already sits on one of its
+    members; these bars are kept per host group as the round goes.
 
     A sequential anti-reciprocal round can dead-end (earlier groups may bar
     every candidate of a later one), so the round is staged and redrawn
@@ -242,25 +238,24 @@ def _place_all(
     result a pure function of the seed.
     """
     anti_reciprocal = placement == PLACEMENT_ANTI_RECIPROCAL
+    group_ids, gamma = sorted(state.groups), state.gamma
     for _ in range(_PLACEMENT_ATTEMPTS):
-        staged: dict[int, int] = {}
+        bars = {g: {g} for g in group_ids}  # barred groups, per group
         if placement == PLACEMENT_RECIPROCAL:
-            for group_id, other_id in ((1, 2), (2, 1)):
-                others = grouping.members(other_id, state.gamma)
-                staged[group_id] = others[rng.randrange(len(others))]
+            bars[1], bars[2] = set(group_ids) - {2}, set(group_ids) - {1}
+        holders: dict[int, int] = {}
         try:
-            for group_id in sorted(state.groups.keys() - staged.keys()):
-                staged[group_id] = _pick_holder(
-                    state, group_id, rng, staged, anti_reciprocal
-                )
+            for g in group_ids:
+                holders[g] = _draw_holder(g, bars[g], state.n, gamma, rng)
+                if anti_reciprocal:
+                    bars[grouping.group_of(holders[g], gamma)].add(g)
         except PlacementError:
             if anti_reciprocal:
                 continue
             raise
-        for group_id, holder_id in staged.items():
-            state.nodes[holder_id].hosted.append(
-                (state.groups[group_id].digest_hex, external[group_id])
-            )
+        for g, holder_id in holders.items():
+            hosted = (state.groups[g].digest_hex, external[g])
+            state.nodes[holder_id].hosted.append(hosted)
         return
     raise PlacementError(
         f"no admissible placement found in {_PLACEMENT_ATTEMPTS} rounds"
@@ -621,8 +616,8 @@ def _read_json(name: str, path: str, dir_fd: int | None = None):
     is the file's full path, which an OSError names.  Reading stops at the
     first chunk shorter than _READ_CHUNK, sparing a read that only finds
     the end; a short read before the end could only cut the JSON short.
-    Bytes that are not UTF-8 raise UnicodeDecodeError and a float raises
-    ValueError; both are ValueErrors.
+    Bytes that are not UTF-8, a float and the text true raise ValueError:
+    True == 1, but save_state writes no boolean (nor 0, which False equals).
     """
     try:
         fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
@@ -635,7 +630,10 @@ def _read_json(name: str, path: str, dir_fd: int | None = None):
     except OSError as exc:
         exc.filename = path
         raise
-    return _DECODER.decode(b"".join(chunks).decode())
+    text = b"".join(chunks).decode()
+    if "true" in text:  # on a node file, a third of a bytes search's time
+        raise ValueError("JSON true, which save_state never writes")
+    return _DECODER.decode(text)
 
 
 def _write_file(name: str, path: str, data: bytes, dir_fd: int | None = None):
@@ -777,9 +775,9 @@ def load_state(
     first key that differs.  So do the checks a rewrite cannot make: a
     prime modulus, integers 1 <= k <= n, n participants and m groups,
     partition(n, m), a known placement mode, hw_ids in [0, 2**48), each
-    group's digest_hex 64 lowercase hex digits, no float anywhere, a
-    sub-share held exactly while the node is alive and its group has
-    redundancy, and hosted digests that name a group with redundancy.  A
+    group's digest_hex 64 lowercase hex digits, no float or boolean
+    anywhere, a sub-share held exactly while the node is alive and its group
+    has redundancy, and hosted digests that name a group with redundancy.  A
     share value outside [0, p) raises DomainError; it and an OSError name
     the file.
     """

@@ -328,6 +328,30 @@ class TestCorruptState:
         assert err.startswith("io-error:")
         assert str(state_dir / "registry.json") in err
 
+    @pytest.mark.parametrize("boolean", [True, False])
+    def test_boolean_exits_three(self, state_dir, capsys, boolean):
+        # save_state writes no JSON boolean; true where it writes the id 1
+        # used to recover 42 and pass attack --mode enum, since True == 1;
+        # false, which equals 0, was and is refused as an id save_state
+        # never writes
+        def first_participant(raw):
+            raw["participants"][0]["id"] = boolean
+
+        path = edit_node(state_dir, 1, lambda raw: raw.update(id=boolean))
+        edit_registry(state_dir, first_participant)
+        for edited in (state_dir / "registry.json", path):
+            for command in (
+                ["recover", "--participants", *ALL_NODES],
+                ["attack", "--mode", "enum"],
+            ):
+                code, out, err = run(capsys, *command, state_dir=state_dir)
+                assert (code, out) == (3, "")
+                assert err.startswith("io-error:")
+                assert str(edited) in err
+            edit_registry(state_dir, lambda raw: raw["participants"][0].update(id=1))
+        edit_node(state_dir, 1, lambda raw: raw.update(id=1))
+        assert self.recover_all(capsys, state_dir)[:2] == (0, "42\n")
+
     def test_truncated_node_file_exits_three(self, state_dir, capsys):
         path = state_dir / "nodes" / "node_02.json"
         path.write_text('{"id": 2, "y": ')

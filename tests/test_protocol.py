@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import tempfile
 from itertools import combinations, product
 from pathlib import Path
@@ -26,7 +27,7 @@ from lrshare.errors import (
     SharingError,
     StateFileError,
 )
-from lrshare.groups import members
+from lrshare.groups import group_of, members
 from lrshare.protocol import (
     PLACEMENT_ANTI_RECIPROCAL,
     PLACEMENT_MODES,
@@ -44,7 +45,45 @@ from lrshare.protocol import (
     storage_accounting,
     system_setup,
 )
+from lrshare.seeds import derive_rng
 from tests.conftest import TOY, system_shapes
+
+
+def reference_placement(n, m, placement, rng):
+    """{group id: holder id} by the list-based placement that
+    protocol._place_all replaced: under 'reciprocal', groups 1 and 2 are
+    staged first with draws from each other's members; every other group
+    indexes the ascending list of its admissible nodes, which under
+    'anti-reciprocal' a rescan of the placed groups narrows."""
+    gamma = n // m
+    anti_reciprocal = placement == PLACEMENT_ANTI_RECIPROCAL
+    for _ in range(protocol._PLACEMENT_ATTEMPTS):
+        staged = {}
+        if placement == PLACEMENT_RECIPROCAL:
+            for group_id, other_id in ((1, 2), (2, 1)):
+                others = members(other_id, gamma)
+                staged[group_id] = others[rng.randrange(len(others))]
+        try:
+            for group_id in sorted(set(range(1, m + 1)) - staged.keys()):
+                own = members(group_id, gamma)
+                candidates = [i for i in range(1, n + 1) if i not in own]
+                if anti_reciprocal:
+                    barred = set()
+                    for other_id, holder in staged.items():
+                        if other_id != group_id and holder in own:
+                            barred.update(members(other_id, gamma))
+                    candidates = [c for c in candidates if c not in barred]
+                if not candidates:
+                    raise PlacementError(f"no admissible holder for group {group_id}")
+                staged[group_id] = candidates[rng.randrange(len(candidates))]
+        except PlacementError:
+            if anti_reciprocal:
+                continue
+            raise
+        return staged
+    raise PlacementError(
+        f"no admissible placement found in {protocol._PLACEMENT_ATTEMPTS} rounds"
+    )
 
 
 def holder_of(state, group_id):
@@ -255,6 +294,51 @@ class TestPlacement:
         assert "holder" not in json.dumps(registry).lower()
         for entry in registry["groups"]:
             assert set(entry) == {"id", "members", "x_lambda", "sss_x", "digest_hex"}
+
+    @pytest.mark.parametrize("shape", [(8, 12, 3), (12, 16, 4), (24, 48, 12)])
+    @pytest.mark.parametrize(
+        "placement", [PLACEMENT_RANDOM, PLACEMENT_ANTI_RECIPROCAL, PLACEMENT_RECIPROCAL]
+    )
+    def test_holders_match_the_list_based_reference(self, shape, placement):
+        k, n, m = shape
+        for seed in range(1, 31):
+            state = system_setup(k, n, m, secret=1, seed=seed, placement=placement)
+            expected = reference_placement(
+                n, m, placement, derive_rng(seed, "placement")
+            )
+            assert {g: holder_of(state, g) for g in state.groups} == expected
+
+    @pytest.mark.parametrize(
+        "shape, placement",
+        [
+            ((2, 4, 1), PLACEMENT_RANDOM),
+            ((2, 4, 1), PLACEMENT_ANTI_RECIPROCAL),
+            ((2, 4, 2), PLACEMENT_ANTI_RECIPROCAL),
+        ],
+    )
+    def test_placement_errors_match_the_reference(self, shape, placement):
+        k, n, m = shape
+        with pytest.raises(PlacementError) as reference:
+            reference_placement(n, m, placement, derive_rng(1, "placement"))
+        with pytest.raises(PlacementError) as placed:
+            system_setup(k, n, m, secret=1, seed=1, placement=placement)
+        assert str(placed.value) == str(reference.value)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(2, 64), st.integers(1, 64), st.data())
+    def test_block_skipping_draw_indexes_the_sorted_candidates(self, gamma, m, data):
+        barred = data.draw(st.sets(st.integers(1, m)), label="barred")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        n = gamma * m
+        candidates = [i for i in range(1, n + 1) if group_of(i, gamma) not in barred]
+        rng, reference = random.Random(seed), random.Random(seed)
+        if candidates:
+            expected = candidates[reference.randrange(len(candidates))]
+            assert protocol._draw_holder(1, barred, n, gamma, rng) == expected
+        else:
+            with pytest.raises(PlacementError, match="no admissible holder for group 1"):
+                protocol._draw_holder(1, barred, n, gamma, rng)
+        assert rng.getstate() == reference.getstate()
 
     def test_two_group_anti_reciprocal_impossible(self):
         # with m=2 every cross-group placement is mutual by construction
@@ -598,6 +682,33 @@ class TestPersistence:
         (tmp_path / "nodes" / "node_01.json").unlink()
         with pytest.raises(ConfigurationError, match="unknown node 99"):
             load_state(tmp_path, [1, 2, 99])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(system_shapes(max_n=48), st.booleans())
+    def test_saved_strings_never_spell_a_boolean(self, shape, fail_one):
+        """load_state refuses the text true anywhere in a file, so save_state
+        must write it nowhere: it writes no boolean, and every string it
+        writes is a fixed key, a placement mode, or hex or decimal digits."""
+        k, n, m, placement, seed = shape
+        state = system_setup(k, n, m, secret=seed, seed=seed, placement=placement)
+        if fail_one:
+            mark_failed(state, seed % n + 1)
+        files = [registry_dict(state)]
+        files += [node_store_dict(node) for node in state.nodes.values()]
+        strings = set()
+        for raw in files:
+            for where, leaf in json_leaves(raw):
+                strings.update(key for key in where if isinstance(key, str))
+                assert not isinstance(leaf, bool)
+                if isinstance(leaf, str):
+                    strings.add(leaf)
+        words = {s for s in strings if s.strip("0123456789abcdef")}
+        assert words <= set(PLACEMENT_MODES) | {
+            "modulus", "k", "n", "m", "placement_mode", "participants", "id",
+            "x", "hw_id", "groups", "members", "x_lambda", "sss_x",
+            "digest_hex", "y", "sss_subshare", "hosted", "subshare",
+        }
+        assert not [s for s in words if "true" in s]
 
     def test_partial_state_is_read_only(self, toy_system, tmp_path):
         save_state(toy_system, tmp_path)
