@@ -110,9 +110,38 @@ GOLDEN_STATE_DIGESTS = {
 }
 
 
-def state_digest(directory):
+# The same digest over the node files alone, for the same systems: the
+# node-file format is kept apart from the registry's, so a registry format
+# change leaves these as they are.
+GOLDEN_NODE_DIGESTS = {
+    ((8, 12, 3), "random"): "2b0112fe5e35453208bc3a7bcf553603ac2378830e73c9d0ead58aacd0680686",
+    ((8, 12, 3), "anti-reciprocal"): "adf21f620ca844286c31410d1e31b6e0f40b9df1baa0db999cba73a5833fef7b",
+    ((8, 12, 3), "reciprocal"): "ee907193a0134024154f25fdd7ba9f5d4ffb06326f2a34ffcd9b7aae35fcb99c",
+    ((8, 12, 3), "none"): "69cb3e941d272c5c9bde265d70b8f357d930ea48d25e855b4c4377ae5e072f4f",
+    ((12, 16, 4), "random"): "bb80981f5f34f4a9d63de9f69731241fd7b3587bae0ea17efb1266352daf07d9",
+    ((12, 16, 4), "anti-reciprocal"): "15ab99778518649bd1c48ba5b38608b072051be6dc4eae3de59a7b44f85132d3",
+    ((12, 16, 4), "reciprocal"): "3ace1f123fbbe6d03b4658e477529be9b0ed427f89fc43195dd7f2f655d165e6",
+    ((12, 16, 4), "none"): "91ecf78b5ebe2cba6712289cc11ebd2a7a05a3b7349fca1c40839176c1ac3c47",
+}
+
+# SHA-256 of the stdout of setup (--state-dir <n>-<placement>, relative),
+# fail and repair of node 6 (not under 'none', which cannot repair), then
+# attack --mode enum, for the same systems.
+GOLDEN_STDOUT_DIGESTS = {
+    ((8, 12, 3), "random"): "b7d3c7cce662d6b09310638ca01d2ab93457aade694600b090705b770b75cb9f",
+    ((8, 12, 3), "anti-reciprocal"): "61ea84eb4f3047006b7bdf6afe5586e8d5b549f407e30b655bf76c8eec1b9b4a",
+    ((8, 12, 3), "reciprocal"): "2e604ed981a0e9539de3648f23762423a372b317890a6933e087076a447db962",
+    ((8, 12, 3), "none"): "4886826e9afec452388e2a58675bd7cac1e06f652383be36d640ff39672bb6ac",
+    ((12, 16, 4), "random"): "8b1212770059adfc590a218561d2115b385e999211092b85ebcd9702d26ee3e6",
+    ((12, 16, 4), "anti-reciprocal"): "901c979ee4260c90ec744988d58f2c546c1a8daceb71acd93014a5b8beb4d759",
+    ((12, 16, 4), "reciprocal"): "66e03b165a956abf64a704a654e27fdbd71f47d85dd4385e8342a517873fe49c",
+    ((12, 16, 4), "none"): "1a490513b0aac06d080ef47898437f24206a6184908945577ae8163f32e689e6",
+}
+
+
+def state_digest(directory, pattern="*.json"):
     h = hashlib.sha256()
-    for path in sorted(directory.rglob("*.json")):
+    for path in sorted(directory.rglob(pattern)):
         h.update(path.relative_to(directory).as_posix().encode() + b"\0")
         h.update(path.read_bytes())
     return h.hexdigest()
@@ -197,6 +226,28 @@ class TestSetup:
             save_state(state, directory)
             digest = GOLDEN_STATE_DIGESTS[(k, n, m), placement]
             assert state_digest(directory) == digest, (k, n, m, placement)
+
+    def test_saved_node_files_match_golden_digests(self, tmp_path):
+        for (k, n, m), placement in product(((8, 12, 3), (12, 16, 4)), PLACEMENT_MODES):
+            directory = tmp_path / f"{n}-{placement}"
+            state = system_setup(k, n, m, secret=42, seed=7, placement=placement)
+            save_state(state, directory)
+            digest = GOLDEN_NODE_DIGESTS[(k, n, m), placement]
+            assert state_digest(directory, "nodes/*.json") == digest, (k, n, m, placement)
+
+    def test_console_output_matches_golden_digests(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for (k, n, m), placement in product(((8, 12, 3), (12, 16, 4)), PLACEMENT_MODES):
+            sd = ["--state-dir", f"{n}-{placement}"]
+            flags = ["--k", str(k), "--n", str(n), "--m", str(m), "--secret", "42"]
+            assert main([*sd, "setup", *flags, "--seed", "7", "--placement", placement]) == 0
+            if placement != "none":
+                assert main([*sd, "fail", "--node", "6"]) == 0
+                assert main([*sd, "repair", "--node", "6"]) == 0
+            assert main([*sd, "attack", "--mode", "enum"]) == 0
+            out = capsys.readouterr().out.encode()
+            digest = GOLDEN_STDOUT_DIGESTS[(k, n, m), placement]
+            assert hashlib.sha256(out).hexdigest() == digest, (k, n, m, placement)
 
     def test_fail_repair_restores_golden_bytes(self, tmp_path):
         for (k, n, m), placement in product(((8, 12, 3), (12, 16, 4)), PLACEMENT_MODES):
