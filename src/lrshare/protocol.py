@@ -5,8 +5,9 @@ is an iteration over the node table.  There is no wire transport on
 purpose: the point of the simulation is exhaustive, reproducible checks of
 what travels where, which sockets would only obscure.
 
-Public data lives in the registry (modulus, thresholds, every x, group
-membership, the groups' hash identities).  Private data lives only in node
+Public data lives in the registry (modulus, thresholds, the hardware ids,
+each group's x_lambda); every other x, group membership and the groups'
+hash identities follow from position.  Private data lives only in node
 stores: each node's primary share value, its own group sub-share, and any
 foreign sub-shares it happens to host.  A group never records who holds
 its external sub-share; the holder is found again at repair time by
@@ -93,13 +94,16 @@ class NodeStore:
 
 @dataclass
 class GroupRecord:
-    """Public per-group registry entry, kept in SystemState.groups under its
-    group id; the members are groups.members(group_id, gamma).
+    """Public per-group record, kept in SystemState.groups under its group
+    id; the members are groups.members(group_id, gamma).
 
     x_lambda is the weak-redundancy point's x, or None when the system was
-    built without repair redundancy (bare threshold sharing).  The sub-share
-    x values are not stored: the member at 1-based position i of the members
-    holds x = i, and the external sub-share sits at x = gamma + 1.
+    built without repair redundancy (bare threshold sharing); it is the one
+    per-group value the registry stores.  digest_hex, the group's hash
+    identity, is always computed by _group_records from the members'
+    hardware ids, never read.  The sub-share x values are not stored: the
+    member at 1-based position i of the members holds x = i, and the
+    external sub-share sits at x = gamma + 1.
     """
 
     x_lambda: int | None
@@ -188,11 +192,26 @@ def hash_identity(hw_ids: Iterable[int]) -> str:
     ids = sorted(hw_ids)
     if not ids:
         raise DomainError("at least one hardware id required")
-    for hw in ids:
+    for hw in (ids[0], ids[-1]):  # sorted, so the ends bound every id
         if not 0 <= hw < (1 << _HW_BITS):
             raise DomainError(f"hardware id {hw} does not fit in {_HW_BITS} bits")
-    data = b"".join(hw.to_bytes(_HW_BITS // 8, "big") for hw in ids)
+    data = b"".join([hw.to_bytes(_HW_BITS // 8, "big") for hw in ids])
     return hashlib.sha256(data).hexdigest()
+
+
+def _group_records(
+    hw_ids: list[int], x_lambdas: list[int | None], gamma: int
+) -> dict[int, GroupRecord]:
+    """Group g's record from x_lambdas[g - 1], with hash_identity of its
+    members' hardware ids as its digest; hw_ids[i - 1] is participant i's.
+    Setup and load_state both build the records here, so no digest is
+    ever stored apart from the ids it comes from."""
+    return {
+        g: GroupRecord(
+            x_lambda, hash_identity(hw_ids[i - 1] for i in grouping.members(g, gamma))
+        )
+        for g, x_lambda in enumerate(x_lambdas, 1)
+    }
 
 
 def _draw_holder(
@@ -304,20 +323,18 @@ def system_setup(
         raise ConfigurationError("reciprocal placement needs at least two groups")
 
     id_rng = derive_rng(seed, "identity")
-    hw_ids: dict[int, int] = {}
+    hw_ids: list[int] = []  # participant i's at index i - 1
     seen: set[int] = set()
-    for node_id in range(1, n + 1):
-        while True:
-            hw = id_rng.getrandbits(_HW_BITS)
-            if hw not in seen:
-                break
-        seen.add(hw)
-        hw_ids[node_id] = hw
+    while len(hw_ids) < n:
+        hw = id_rng.getrandbits(_HW_BITS)
+        if hw not in seen:
+            seen.add(hw)
+            hw_ids.append(hw)
 
     shares = shamir.split(field, secret, k, n, derive_rng(seed, "sharing"))
     nodes = {
         i: NodeStore(
-            identity=NodeIdentity(i, hw_ids[i]),
+            identity=NodeIdentity(i, hw_ids[i - 1]),
             primary=shares[i - 1],
             subshare=None,
             hosted=[],
@@ -325,26 +342,23 @@ def system_setup(
         for i in range(1, n + 1)
     }
 
-    group_records: dict[int, GroupRecord] = {}
+    x_lambdas: list[int | None] = [None] * m
     external: dict[int, Share] = {}
-    for g, block in enumerate(blocks, 1):
-        digest = hash_identity(hw_ids[mid] for mid in block)
-        if placement == PLACEMENT_NONE:
-            group_records[g] = GroupRecord(None, digest)
-            continue
-        member_shares = [shares[mid - 1] for mid in block]
-        repair_fn = grouping.build_repair_function(field, member_shares)
-        weak = grouping.make_weak_redundancy(
-            field,
-            repair_fn,
-            {s.x for s in member_shares},
-            derive_rng(seed, f"lambda:{g}"),
-        )
-        sss = grouping.setup_sss(field, weak.y, gamma, derive_rng(seed, f"sss:{g}"))
-        for idx, member in enumerate(block):
-            nodes[member].subshare = sss[idx]
-        external[g] = sss[-1]
-        group_records[g] = GroupRecord(weak.x, digest)
+    if placement != PLACEMENT_NONE:
+        for g, block in enumerate(blocks, 1):
+            member_shares = [shares[mid - 1] for mid in block]
+            repair_fn = grouping.build_repair_function(field, member_shares)
+            weak = grouping.make_weak_redundancy(
+                field,
+                repair_fn,
+                {s.x for s in member_shares},
+                derive_rng(seed, f"lambda:{g}"),
+            )
+            sss = grouping.setup_sss(field, weak.y, gamma, derive_rng(seed, f"sss:{g}"))
+            for idx, member in enumerate(block):
+                nodes[member].subshare = sss[idx]
+            external[g] = sss[-1]
+            x_lambdas[g - 1] = weak.x
 
     state = SystemState(
         field=field,
@@ -352,7 +366,7 @@ def system_setup(
         n=n,
         m=m,
         placement_mode=placement,
-        groups=group_records,
+        groups=_group_records(hw_ids, x_lambdas, gamma),
         nodes=nodes,
     )
 
@@ -530,40 +544,28 @@ def storage_accounting(state: SystemState) -> dict:
 # -- flat-file persistence ----------------------------------------------------
 
 
-def _registry(modulus, k, n, m, placement_mode, hw_ids, groups) -> dict:
-    """The one statement of the registry format: hw_ids maps participant
-    ids, in ascending order, to hardware ids, groups group ids to
-    GroupRecords."""
-    gamma = n // m
-    sss_x = [str(x) for x in range(1, gamma + 2)]  # members' x, then gamma + 1
+def _registry(modulus, k, n, m, placement_mode, hw_ids, x_lambdas) -> dict:
+    """The one statement of the registry format: only what position cannot
+    give.  hw_ids[i - 1] is participant i's hardware id, written as one
+    string of 12 lowercase hex digits per participant; x_lambdas[g - 1] is
+    group g's x_lambda, a decimal string or None."""
     return {
         "modulus": modulus,
         "k": k,
         "n": n,
         "m": m,
         "placement_mode": placement_mode,
-        "participants": [
-            {"id": node_id, "x": str(node_id), "hw_id": "%012x" % hw}
-            for node_id, hw in hw_ids.items()
-        ],
-        "groups": [
-            {
-                "id": group_id,
-                "members": list(grouping.members(group_id, gamma)),
-                "x_lambda": None if rec.x_lambda is None else str(rec.x_lambda),
-                "sss_x": [] if rec.x_lambda is None else list(sss_x),
-                "digest_hex": rec.digest_hex,
-            }
-            for group_id, rec in sorted(groups.items())
-        ],
+        "hw_ids": "".join("%012x" % hw for hw in hw_ids),
+        "x_lambda": [None if x is None else str(x) for x in x_lambdas],
     }
 
 
 def registry_dict(state: SystemState) -> dict:
     """The public registry: no y values, no sub-shares, no holder locations."""
-    hw_ids = {i: state.nodes[i].identity.hw_id for i in sorted(state.nodes)}
+    hw_ids = [state.nodes[i].identity.hw_id for i in sorted(state.nodes)]
+    x_lambdas = [rec.x_lambda for _, rec in sorted(state.groups.items())]
     p, mode = state.field.modulus, state.placement_mode
-    return _registry(p, state.k, state.n, state.m, mode, hw_ids, state.groups)
+    return _registry(p, state.k, state.n, state.m, mode, hw_ids, x_lambdas)
 
 
 def _share_dict(share: Share | None) -> dict | None:
@@ -715,19 +717,6 @@ def save_state(
     _write_file(registry, registry, _dump(registry_dict(state)).encode())
 
 
-def _is_digest(value) -> bool:
-    """Whether value is what hash_identity returns, 64 lowercase hex digits.
-
-    A round trip through bytes: fromhex also reads spaces and capitals, and
-    hex gives neither back.  It takes a third of the time of re.fullmatch
-    under CPython 3.11, which a partial load at m = 256 would feel.
-    """
-    try:
-        return len(value) == 64 and bytes.fromhex(value).hex() == value
-    except (TypeError, ValueError):
-        return False
-
-
 _ABSENT = object()
 
 
@@ -768,18 +757,19 @@ def load_state(
     full.  Node files are opened under one descriptor of the nodes
     directory (POSIX dir_fd).
 
-    Every x follows from position.  A file is accepted only if the writer
-    gives its parsed JSON back: _registry of the values read, or
-    node_store_dict of the store read.  Otherwise, or when a file is not
-    UTF-8 JSON or lacks an entry, StateFileError names the file and the
-    first key that differs.  So do the checks a rewrite cannot make: a
-    prime modulus, integers 1 <= k <= n, n participants and m groups,
-    partition(n, m), a known placement mode, hw_ids in [0, 2**48), each
-    group's digest_hex 64 lowercase hex digits, no float or boolean
-    anywhere, a sub-share held exactly while the node is alive and its group
-    has redundancy, and hosted digests that name a group with redundancy.  A
-    share value outside [0, p) raises DomainError; it and an OSError name
-    the file.
+    Every x, the group layout and every group digest follow from position
+    and the hardware ids (_group_records); nothing else is read for them.
+    A file is accepted only if the writer gives its parsed JSON back:
+    _registry of the values read, or node_store_dict of the store read.
+    Otherwise, or when a file is not UTF-8 JSON or lacks an entry (a
+    registry in an older format among them), StateFileError names the file
+    and the first key that differs.  So do the checks a rewrite cannot
+    make: a prime modulus, integers 1 <= k <= n, n hardware ids and m
+    x_lambda values, partition(n, m), a known placement mode, n distinct
+    hardware ids, no float or boolean anywhere, a sub-share held exactly
+    while the node is alive and its group has redundancy, and hosted
+    digests that name a group with redundancy.  A share value outside
+    [0, p) raises DomainError; it and an OSError name the file.
     """
     root = os.fspath(directory)
     path = os.path.join(root, REGISTRY_FILE)  # the file being parsed, for errors
@@ -787,7 +777,7 @@ def load_state(
     try:
         registry = _read_json(path, path)
         k, n, m = registry["k"], registry["n"], registry["m"]
-        participants, entries = registry["participants"], registry["groups"]
+        hw_text, x_text = registry["hw_ids"], registry["x_lambda"]
         mode = registry["placement_mode"]
         try:
             field = PrimeField(registry["modulus"])
@@ -801,35 +791,34 @@ def load_state(
         if mode not in PLACEMENT_MODES:
             raise StateFileError(f"{path}: unknown placement_mode {mode!r}")
         # the counts go first, so an edited n or m cannot build huge lists below
-        if len(participants) != n or len(entries) != m:
-            raise StateFileError(f"{path}: need {n} participants and {m} groups")
+        if len(hw_text) != n * _HW_BITS // 4 or len(x_text) != m:
+            raise StateFileError(f"{path}: need {n} hw_ids and {m} x_lambda values")
         try:
             grouping.partition(n, m)
         except ConfigurationError as exc:
             raise StateFileError(f"{path}: {exc}") from exc
-        hw_ids = dict(zip(range(1, n + 1), [int(e["hw_id"], 16) for e in participants]))
-        # a sign or a 13th digit formats back to its own text
-        if not 0 <= min(hw_ids.values()) <= max(hw_ids.values()) < 1 << _HW_BITS:
-            raise StateFileError(f"{path}: a hw_id is outside [0, 2**{_HW_BITS})")
-        groups = {}
-        for g, entry in enumerate(entries, 1):
-            x_lambda = entry["x_lambda"]
-            x_lambda = None if x_lambda is None else int(x_lambda)
-            digest = entry["digest_hex"]
-            if not _is_digest(digest):
-                raise StateFileError(
-                    f"{path}: group {g} digest_hex is not 64 lowercase hex digits"
-                )
-            groups[g] = GroupRecord(x_lambda, digest)
+        # bytes carry no sign, so every id fits in _HW_BITS; the rewrite
+        # refuses any spelling but 12 lowercase hex digits per id
+        raw_ids, size = bytes.fromhex(hw_text), _HW_BITS // 8
+        hw_ids = [
+            int.from_bytes(raw_ids[i : i + size], "big") for i in range(0, n * size, size)
+        ]
+        # m nulls under 'none', m decimal strings otherwise: int(None) raises,
+        # and a string under 'none' is written back as null
+        x_lambdas = [None] * m if mode == PLACEMENT_NONE else [int(x) for x in x_text]
         p = field.modulus
-        _check_written(path, registry, _registry(p, k, n, m, mode, hw_ids, groups))
+        _check_written(path, registry, _registry(p, k, n, m, mode, hw_ids, x_lambdas))
+        # distinct ids keep the derived digests distinct, as setup draws them
+        if len(set(hw_ids)) != n:
+            raise StateFileError(f"{path}: hw_ids holds a hardware id twice")
+        gamma = n // m
+        groups = _group_records(hw_ids, x_lambdas, gamma)
 
-        wanted = sorted(hw_ids if node_ids is None else set(node_ids))
-        unknown = [node_id for node_id in wanted if node_id not in hw_ids]
+        wanted = sorted(range(1, n + 1) if node_ids is None else set(node_ids))
+        unknown = [node_id for node_id in wanted if not 1 <= node_id <= n]
         if unknown:
             raise ConfigurationError(f"unknown node {', '.join(map(str, unknown))}")
 
-        gamma = n // m
         hosts = {  # digests a node may host an external sub-share for
             rec.digest_hex for rec in groups.values() if rec.x_lambda is not None
         }
@@ -859,7 +848,7 @@ def load_state(
                         f"{path}: hosted {digest!r} names no group with redundancy"
                     )
                 hosted.append((digest, Share(gamma + 1, int(entry["subshare"]["y"]))))
-            identity = NodeIdentity(node_id, hw_ids[node_id])
+            identity = NodeIdentity(node_id, hw_ids[node_id - 1])
             node = NodeStore(identity, primary, subshare, hosted)
             _check_written(path, raw, node_store_dict(node))
             for share in (primary, subshare):

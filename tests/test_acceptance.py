@@ -214,7 +214,7 @@ def test_c7_protocol_confidentiality(tmp_path):
     assert "holder" not in registry_text.lower()
     assert "hosted" not in registry_text.lower()
     assert set(registry_dict(pristine)) == {
-        "modulus", "k", "n", "m", "placement_mode", "participants", "groups",
+        "modulus", "k", "n", "m", "placement_mode", "hw_ids", "x_lambda",
     }
     print("PASS criterion 7: delivery-only exposure in 12 traces; registry clean")
 

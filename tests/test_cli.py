@@ -294,19 +294,18 @@ class TestCorruptState:
     @pytest.mark.parametrize(
         "digest", [["x"], None, "f" * 63, "F" * 64, "g" * 64, "f" * 64 + "\n"]
     )
-    def test_digest_hex_must_be_64_lowercase_hex_digits(self, tmp_path, capsys, digest):
-        # no node hosts a digest in a bare threshold system, so ["x"] used to
-        # load and make attack --mode enum raise TypeError
-        directory = tmp_path / "state"
-        flags = [*TOY_FLAGS, "--placement", "none"]
-        assert run(capsys, "setup", *flags, state_dir=directory)[0] == 0
-        edit_registry(directory, lambda raw: raw["groups"][0].update(digest_hex=digest))
-        for command in (["attack", "--mode", "enum"], ["fail", "--node", "1"]):
-            code, out, err = run(capsys, *command, state_dir=directory)
+    def test_digest_hex_must_be_64_lowercase_hex_digits(self, state_dir, capsys, digest):
+        # the registry stores no digest; the one stored digest left, a
+        # hosted one, must be a group's digest as hash_identity derives it
+        holder = hosting_node(state_dir)
+        path = edit_node(
+            state_dir, holder, lambda raw: raw["hosted"][0].update(digest_hex=digest)
+        )
+        for command in (["attack", "--mode", "enum"], ["fail", "--node", str(holder)]):
+            code, out, err = run(capsys, *command, state_dir=state_dir)
             assert (code, out) == (3, "")
             assert err.startswith("io-error:")
-            assert str(directory / "registry.json") in err
-            assert "digest_hex" in err
+            assert str(path) in err
 
     @pytest.mark.parametrize("number", [1.0, float("nan")], ids=["1.0", "NaN"])
     def test_float_exits_three(self, state_dir, capsys, number):
@@ -317,12 +316,12 @@ class TestCorruptState:
         assert err.startswith("io-error:")
         assert str(path) in err
 
-        def first_member(raw):
-            raw["groups"][0]["members"][0] = number
+        def first_x_lambda(raw):
+            raw["x_lambda"][0] = number
 
         edit_node(state_dir, 1, lambda raw: raw.update(id=1))
         assert self.recover_all(capsys, state_dir)[0] == 0
-        edit_registry(state_dir, first_member)
+        edit_registry(state_dir, first_x_lambda)
         code, out, err = self.recover_all(capsys, state_dir)
         assert (code, out) == (3, "")
         assert err.startswith("io-error:")
@@ -334,11 +333,17 @@ class TestCorruptState:
         # used to recover 42 and pass attack --mode enum, since True == 1;
         # false, which equals 0, was and is refused as an id save_state
         # never writes
-        def first_participant(raw):
-            raw["participants"][0]["id"] = boolean
+        registry = json.loads((state_dir / "registry.json").read_text())
+        x_lambda = registry["x_lambda"][0]
+
+        def set_x_lambda(value):
+            def change(raw):
+                raw["x_lambda"][0] = value
+
+            return change
 
         path = edit_node(state_dir, 1, lambda raw: raw.update(id=boolean))
-        edit_registry(state_dir, first_participant)
+        edit_registry(state_dir, set_x_lambda(boolean))
         for edited in (state_dir / "registry.json", path):
             for command in (
                 ["recover", "--participants", *ALL_NODES],
@@ -348,7 +353,7 @@ class TestCorruptState:
                 assert (code, out) == (3, "")
                 assert err.startswith("io-error:")
                 assert str(edited) in err
-            edit_registry(state_dir, lambda raw: raw["participants"][0].update(id=1))
+            edit_registry(state_dir, set_x_lambda(x_lambda))
         edit_node(state_dir, 1, lambda raw: raw.update(id=1))
         assert self.recover_all(capsys, state_dir)[:2] == (0, "42\n")
 
@@ -453,9 +458,10 @@ class TestCorruptState:
 
     @pytest.mark.parametrize("x", ["1000", "0"])
     def test_participant_x_other_than_its_id_exits_three(self, state_dir, capsys, x):
-        # setup assigns x = id; with any other x, recover would interpolate
-        # through a wrong point and print a wrong secret
-        edit_registry(state_dir, lambda raw: raw["participants"][0].update(x=x))
+        # setup assigns x = id, and the registry no longer spells either: a
+        # participant's x is its position, which its node file's id must
+        # name, or recover would interpolate through a wrong point
+        path = edit_node(state_dir, 1, lambda raw: raw.update(id=int(x)))
         code, out, err = run(
             capsys, "recover", "--participants", *map(str, range(1, 9)),
             state_dir=state_dir,
@@ -463,7 +469,7 @@ class TestCorruptState:
         assert code == 3
         assert out == ""
         assert err.startswith("io-error:")
-        assert "registry.json" in err
+        assert str(path) in err
 
     @pytest.mark.parametrize("modulus", [4, 2**31, 13.0])
     def test_modulus_not_prime_exits_three(self, state_dir, capsys, modulus):
@@ -502,11 +508,30 @@ class TestCorruptState:
         assert err.startswith("io-error:")
         assert "registry.json" in err
 
-    def test_uneven_groups_exit_three(self, state_dir, capsys):
-        def move_member(raw):
-            raw["groups"][1]["members"].append(raw["groups"][0]["members"].pop())
+    @pytest.mark.parametrize("placement, x_lambda", [("random", None), ("none", "5")])
+    def test_x_lambda_must_match_the_placement(self, tmp_path, capsys, placement, x_lambda):
+        # m decimal strings, or m nulls under 'none'; node 5's file holds
+        # nothing of group 1, so only the registry can refuse this fail
+        directory = tmp_path / "state"
+        flags = [*TOY_FLAGS, "--placement", placement]
+        assert run(capsys, "setup", *flags, state_dir=directory)[0] == 0
 
-        edit_registry(state_dir, move_member)
+        def first_x_lambda(raw):
+            raw["x_lambda"][0] = x_lambda
+
+        edit_registry(directory, first_x_lambda)
+        code, out, err = run(capsys, "fail", "--node", "5", state_dir=directory)
+        assert (code, out) == (3, "")
+        assert err.startswith("io-error:")
+        assert str(directory / "registry.json") in err
+
+    def test_uneven_groups_exit_three(self, state_dir, capsys):
+        # groups are partition(n, m)'s equal blocks, so m must divide n
+        def five_groups(raw):
+            raw["m"] = 5
+            raw["x_lambda"] += raw["x_lambda"][:2]
+
+        edit_registry(state_dir, five_groups)
         code, out, err = run(capsys, "attack", "--mode", "enum", state_dir=state_dir)
         assert code == 3
         assert out == ""
@@ -536,9 +561,9 @@ ELEMENT_FIELDS = {
     "sss_subshare-y": (2, lambda raw: (raw["sss_subshare"], "y")),
     "hosted-x": ("holder", lambda raw: (_hosted_subshare(raw), "x")),
     "hosted-y": ("holder", lambda raw: (_hosted_subshare(raw), "y")),
-    "participant-x": ("registry", lambda raw: (raw["participants"][11], "x")),
-    "x_lambda": ("registry", lambda raw: (raw["groups"][1], "x_lambda")),
-    "sss_x": ("registry", lambda raw: (raw["groups"][1]["sss_x"], 2)),
+    "x_lambda": ("registry", lambda raw: (raw["x_lambda"], 1)),
+    # group 2's third sub-share x, which only node 7's file spells
+    "sss_x": (7, lambda raw: (raw["sss_subshare"], "x")),
 }
 
 
@@ -590,8 +615,8 @@ class TestNonCanonicalElements:
 # (file, the dict in it that gets a key save_state never writes)
 EXTRA_KEY_PLACES = {
     "registry": ("registry", lambda raw: raw),
-    "participant": ("registry", lambda raw: raw["participants"][4]),
-    "group": ("registry", lambda raw: raw["groups"][1]),
+    # participant 5's one record left beside its hardware id
+    "participant": (5, lambda raw: raw),
     "node": (2, lambda raw: raw),
     "sss_subshare": (2, lambda raw: raw["sss_subshare"]),
     "hosted": ("holder", lambda raw: raw["hosted"][0]),
@@ -622,18 +647,32 @@ def test_key_save_state_never_writes_exits_three(state_dir, capsys, place):
         assert "note" in err
 
 
+def hw_id_text(raw, node):
+    """Participant node's 12 hex digits in the registry's hw_ids."""
+    return raw["hw_ids"][12 * (node - 1) : 12 * node]
+
+
+def set_hw_id_text(raw, node, text):
+    hw_ids = raw["hw_ids"]
+    raw["hw_ids"] = hw_ids[: 12 * (node - 1)] + text + hw_ids[12 * node :]
+
+
 @pytest.mark.parametrize("placement", ["none", "random"])
-@pytest.mark.parametrize("member", [99, 1], ids=["unknown", "twice"])
+@pytest.mark.parametrize("member", ["unknown", "twice"])
 def test_group_members_must_be_the_participants(tmp_path, capsys, placement, member):
+    # membership is positional, so the participants are the n hardware ids:
+    # a 13th id (of no participant) or one id listed twice is refused
     directory = tmp_path / "state"
     flags = [*TOY_FLAGS, "--placement", placement]
     assert run(capsys, "setup", *flags, state_dir=directory)[0] == 0
 
-    def replace_last_member(raw):
-        assert raw["groups"][2]["members"][-1] == 12
-        raw["groups"][2]["members"][-1] = member
+    def change_ids(raw):
+        if member == "unknown":
+            raw["hw_ids"] += "0" * 12
+        else:
+            set_hw_id_text(raw, 12, hw_id_text(raw, 1))
 
-    edit_registry(directory, replace_last_member)
+    edit_registry(directory, change_ids)
     for command in (["fail", "--node", "12"], ["repair", "--node", "12"]):
         code, out, err = run(capsys, *command, state_dir=directory)
         assert code == 3
@@ -642,66 +681,132 @@ def test_group_members_must_be_the_participants(tmp_path, capsys, placement, mem
         assert "registry.json" in err
 
 
+def test_repeated_hw_id_exits_three(state_dir, capsys):
+    # setup draws n distinct ids, and distinct ids keep the derived group
+    # digests distinct; node 2's id copied over node 6's formats back as
+    # written, so load_state checks it on its own
+    edit_registry(state_dir, lambda raw: set_hw_id_text(raw, 6, hw_id_text(raw, 2)))
+    for command in (
+        ["fail", "--node", "1"],
+        ["repair", "--node", "1"],
+        ["recover", "--participants", *ALL_NODES],
+        ["attack", "--mode", "enum"],
+    ):
+        code, out, err = run(capsys, *command, state_dir=state_dir)
+        assert (code, out) == (3, ""), command
+        assert err.startswith("io-error:")
+        assert str(state_dir / "registry.json") in err
+        assert "hardware id twice" in err
+
+
+def test_edited_hw_id_no_longer_repairs(state_dir, capsys):
+    # one hex digit of node 2's id: the registry used to keep group 1's
+    # digest beside the ids, unchecked, so this loaded and repaired node 1
+    # with exit 0.  The digest is now derived from the ids, so group 1's
+    # hosted digest names no group and every full load exits 3.
+    def edit_digit(raw):
+        text = hw_id_text(raw, 2)
+        set_hw_id_text(raw, 2, ("1" if text[0] != "1" else "2") + text[1:])
+
+    edit_registry(state_dir, edit_digit)
+    assert run(capsys, "fail", "--node", "1", state_dir=state_dir)[0] == 0
+    for command in (["repair", "--node", "1"], ["attack", "--mode", "enum"]):
+        code, out, err = run(capsys, *command, state_dir=state_dir)
+        assert (code, out) == (3, ""), command
+        assert err.startswith("io-error:")
+        assert "names no group with redundancy" in err
+
+
+def old_format_registry(raw):
+    """The registry as it was written before it held only what position
+    cannot give: per-participant and per-group entries, with digests."""
+    n, m = raw["n"], raw["m"]
+    gamma = n // m
+    hw_ids = [int(raw["hw_ids"][i : i + 12], 16) for i in range(0, 12 * n, 12)]
+    groups = []
+    for g, x_lambda in enumerate(raw["x_lambda"], 1):
+        ids = list(range((g - 1) * gamma + 1, g * gamma + 1))
+        groups.append(
+            {
+                "id": g,
+                "members": ids,
+                "x_lambda": x_lambda,
+                "sss_x": [] if x_lambda is None else [str(x) for x in range(1, gamma + 2)],
+                "digest_hex": protocol.hash_identity(hw_ids[i - 1] for i in ids),
+            }
+        )
+    participants = [
+        {"id": i, "x": str(i), "hw_id": "%012x" % hw} for i, hw in enumerate(hw_ids, 1)
+    ]
+    return {
+        key: raw[key] for key in ("modulus", "k", "n", "m", "placement_mode")
+    } | {"participants": participants, "groups": groups}
+
+
+def test_old_format_registry_exits_three(state_dir, capsys):
+    # there is no reader for the old format: such a state is set up again
+    path = state_dir / "registry.json"
+    old = old_format_registry(json.loads(path.read_text()))
+    path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    for command in (
+        ["fail", "--node", "1"],
+        ["repair", "--node", "1"],
+        ["recover", "--participants", *ALL_NODES],
+        ["attack", "--mode", "enum"],
+    ):
+        code, out, err = run(capsys, *command, state_dir=state_dir)
+        assert (code, out) == (3, ""), command
+        assert err.startswith("io-error:")
+        assert str(path) in err
+        assert "Traceback" not in err
+
+
 class TestRelabelledSubShares:
     """Sub-share x values follow from position: member i of a group at x = i,
-    the external one at gamma + 1.  A state relabelled consistently in the
-    registry and the node files would make repair write a wrong y with
-    exit 0, so every command that loads it exits 3."""
+    the external one at gamma + 1, and no file lists them but the node
+    files.  A state relabelled consistently there would make repair write a
+    wrong y with exit 0, so every command that loads a relabelled file exits
+    3 naming it."""
 
     EIGHT = [str(i) for i in range(1, 9)]
 
-    def assert_refused(self, capsys, state_dir, command):
+    def assert_refused(self, capsys, state_dir, command, path):
         code, out, err = run(capsys, *command, state_dir=state_dir)
         assert code == 3
         assert out == ""
         assert err.startswith("io-error:")
-        assert "registry.json" in err
+        assert str(path) in err
 
     def test_external_relabel_exits_three(self, state_dir, capsys):
-        registry = json.loads((state_dir / "registry.json").read_text())
-        digest = registry["groups"][0]["digest_hex"]
-
-        def relabel_registry(raw):
-            assert raw["groups"][0]["sss_x"] == ["1", "2", "3", "4", "5"]
-            raw["groups"][0]["sss_x"][-1] = "6"
-
         def relabel_hosted(raw):
-            (entry,) = [h for h in raw["hosted"] if h["digest_hex"] == digest]
+            entry = raw["hosted"][0]
             assert entry["subshare"]["x"] == "5"
             entry["subshare"]["x"] = "6"
 
-        holder = next(
-            int(path.stem[len("node_") :])
-            for path in sorted((state_dir / "nodes").iterdir())
-            if digest in path.read_text()
-        )
-        edit_registry(state_dir, relabel_registry)
-        edit_node(state_dir, holder, relabel_hosted)
-        self.assert_refused(capsys, state_dir, ["fail", "--node", "2"])
-        self.assert_refused(capsys, state_dir, ["recover", "--participants", *self.EIGHT])
+        holder = hosting_node(state_dir)
+        path = edit_node(state_dir, holder, relabel_hosted)
+        self.assert_refused(capsys, state_dir, ["fail", "--node", str(holder)], path)
+        self.assert_refused(capsys, state_dir, ["attack", "--mode", "enum"], path)
 
     def test_member_relabel_exits_three(self, state_dir, capsys):
-        def swap_registry(raw):
-            sss_x = raw["groups"][0]["sss_x"]
-            sss_x[0], sss_x[1] = sss_x[1], sss_x[0]
-            assert sss_x[:2] == ["2", "1"]
-
         def set_subshare_x(x):
             return lambda raw: raw["sss_subshare"].update(x=x)
 
-        edit_registry(state_dir, swap_registry)
-        edit_node(state_dir, 1, set_subshare_x("2"))
+        path = edit_node(state_dir, 1, set_subshare_x("2"))
         edit_node(state_dir, 2, set_subshare_x("1"))
-        self.assert_refused(capsys, state_dir, ["fail", "--node", "3"])
-        self.assert_refused(capsys, state_dir, ["recover", "--participants", *self.EIGHT])
+        self.assert_refused(capsys, state_dir, ["fail", "--node", "1"], path)
+        self.assert_refused(
+            capsys, state_dir, ["recover", "--participants", *self.EIGHT], path
+        )
 
 
 class TestLayoutFromPosition:
-    """The groups are partition(n, m)'s blocks of consecutive ids, whatever
-    the registry lists.  Member lists moved consistently with the hardware
+    """The groups are partition(n, m)'s blocks of consecutive ids: the
+    registry lists no members, so a member moved in it is a hardware id or
+    a sub-share x moved.  Member lists moved consistently with the hardware
     ids or the sub-share x used to make repair write a wrong y and recover
-    print a wrong secret with exit 0, so every command that loads them
-    exits 3 naming the registry."""
+    print a wrong secret with exit 0; every command that loads such a state
+    exits 3, or gives the right answer."""
 
     COMMANDS = {
         "fail": ["fail", "--node", "{node}"],
@@ -709,38 +814,47 @@ class TestLayoutFromPosition:
         "recover": ["recover", "--participants", *map(str, range(1, 9))],
     }
 
-    def assert_refused(self, capsys, state_dir, node):
-        for name, command in self.COMMANDS.items():
+    def assert_refused(self, capsys, state_dir, node, name="registry.json"):
+        for command_name, command in self.COMMANDS.items():
             argv = [arg.format(node=node) for arg in command]
             code, out, err = run(capsys, *argv, state_dir=state_dir)
-            assert (code, out) == (3, ""), name
-            assert err.startswith("io-error:"), name
-            assert "registry.json" in err, name
+            assert (code, out) == (3, ""), command_name
+            assert err.startswith("io-error:"), command_name
+            assert name in err, command_name
 
     def test_members_swapped_across_groups_exit_three(self, state_dir, capsys):
+        # swapping 4's and 8's hardware ids moves them across groups: both
+        # groups' derived digests change, so their hosted digests name no
+        # group, and every full load exits 3; a recover that reads no such
+        # digest still recovers the secret, since each share stays at its x
         def swap_4_and_8(raw):
-            first, second = raw["groups"][0]["members"], raw["groups"][1]["members"]
-            first[3], second[3] = 8, 4
-            assert (first, second) == ([1, 2, 3, 8], [5, 6, 7, 4])
-            four, eight = raw["participants"][3], raw["participants"][7]
-            four["hw_id"], eight["hw_id"] = eight["hw_id"], four["hw_id"]
+            four, eight = hw_id_text(raw, 4), hw_id_text(raw, 8)
+            set_hw_id_text(raw, 4, eight)
+            set_hw_id_text(raw, 8, four)
 
         edit_registry(state_dir, swap_4_and_8)
-        self.assert_refused(capsys, state_dir, 4)
+        assert run(capsys, "fail", "--node", "4", state_dir=state_dir)[0] == 0
+        for command in (["repair", "--node", "4"], ["attack", "--mode", "enum"]):
+            code, out, err = run(capsys, *command, state_dir=state_dir)
+            assert (code, out) == (3, ""), command
+            assert "names no group with redundancy" in err
+        nodes = state_dir / "nodes"
+        plain = [
+            str(i)
+            for i in range(1, 13)
+            if i != 4 and not json.loads((nodes / f"node_{i:02d}.json").read_text())["hosted"]
+        ]
+        recover = ["recover", "--participants", *plain[:8]]
+        assert run(capsys, *recover, state_dir=state_dir)[:2] == (0, "42\n")
 
     def test_members_reordered_within_a_group_exit_three(self, state_dir, capsys):
-        def swap_1_and_2(raw):
-            members = raw["groups"][0]["members"]
-            members[0], members[1] = members[1], members[0]
-            assert members == [2, 1, 3, 4]
-
+        # members 1 and 2 reordered: their sub-share x values swapped
         def set_subshare_x(x):
             return lambda raw: raw["sss_subshare"].update(x=x)
 
-        edit_registry(state_dir, swap_1_and_2)
         edit_node(state_dir, 1, set_subshare_x("2"))
         edit_node(state_dir, 2, set_subshare_x("1"))
-        self.assert_refused(capsys, state_dir, 3)
+        self.assert_refused(capsys, state_dir, 1, "node_01.json")
 
     def test_one_member_groups_exit_three(self, tmp_path, capsys):
         # n = m is consistent in every file but has gamma = 1, which setup
@@ -748,21 +862,7 @@ class TestLayoutFromPosition:
         directory = tmp_path / "state"
         flags = [*TOY_FLAGS, "--placement", "none"]
         assert run(capsys, "setup", *flags, state_dir=directory)[0] == 0
-
-        def singletons(raw):
-            raw["m"] = 12
-            raw["groups"] = [
-                {
-                    "id": entry["id"],
-                    "members": [entry["id"]],
-                    "x_lambda": None,
-                    "sss_x": [],
-                    "digest_hex": protocol.hash_identity([int(entry["hw_id"], 16)]),
-                }
-                for entry in raw["participants"]
-            ]
-
-        edit_registry(directory, singletons)
+        edit_registry(directory, lambda raw: raw.update(m=12, x_lambda=[None] * 12))
         self.assert_refused(capsys, directory, 3)
 
 
@@ -784,10 +884,9 @@ NON_CANONICAL_HW_ID = {
 @pytest.mark.parametrize("form", NON_CANONICAL_HW_ID.values(), ids=NON_CANONICAL_HW_ID.keys())
 def test_non_canonical_hw_id_exits_three(state_dir, capsys, form):
     def respell(raw):
-        entry = raw["participants"][1]
-        text = entry["hw_id"]
+        text = hw_id_text(raw, 2)
         assert text != text.upper()  # holds for this seed, so uppercase differs
-        entry["hw_id"] = form(text)
+        set_hw_id_text(raw, 2, form(text))
 
     edit_registry(state_dir, respell)
     for command in (["fail", "--node", "2"], ["recover", "--participants", *ALL_NODES]):
@@ -861,7 +960,8 @@ def test_corrupt_node_file_keeps_exit_contract(
 def test_corrupt_registry_keeps_exit_contract(toy_state_files, node, truncate, data):
     """registry.json truncated or one byte flipped: fail, repair and recover
     exit 0, 3 or 4 and never raise; bytes that no longer parse as JSON exit
-    3 naming the registry."""
+    3 naming the registry.  The recover leaves out the failed node, whose
+    repair an edited hardware id refuses."""
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         for relative, content in toy_state_files.items():
@@ -884,7 +984,7 @@ def test_corrupt_registry_keeps_exit_contract(toy_state_files, node, truncate, d
         commands = (
             ["fail", "--node", str(node)],
             ["repair", "--node", str(node)],
-            ["recover", "--participants", *map(str, range(1, 9))],
+            ["recover", "--participants", *[str(i) for i in range(1, 10) if i != node][:8]],
         )
         for command in commands:
             out, err = io.StringIO(), io.StringIO()

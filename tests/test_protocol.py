@@ -99,14 +99,14 @@ def holder_of(state, group_id):
 # bytes, so a change to the rng streams, the placement order or the file
 # format fails here.
 GOLDEN_STATE_DIGESTS = {
-    ((8, 12, 3), "random"): "c01bd97bb7a362420cc9656783d0a67972d02bd5e27b60a3811ce8b6dec8f624",
-    ((8, 12, 3), "anti-reciprocal"): "a90814f019be43b55616547232d8ad60d557a2cff53dcaf93dd6257f30d2a4d6",
-    ((8, 12, 3), "reciprocal"): "9cfce29fa0e9a3e2ed8abcad0ab3a577f6b3fa5dfe0bd1679d14caa4d16cba1c",
-    ((8, 12, 3), "none"): "56f170730cd0a545d3e4fc1feb2eff5beeb7c6f3e2a6b2028df2fc233d8e3286",
-    ((12, 16, 4), "random"): "160b4a1b0af954fc7a38812d30f0163ceb983b9ee6babea7628adcd0cf6c869a",
-    ((12, 16, 4), "anti-reciprocal"): "2f9d172bee7357baad5d08aca6300d281d7ca0976bd00c7bad097340fafd19f2",
-    ((12, 16, 4), "reciprocal"): "fef1c6b7381149546d3a0697a06a8afc72991089aebf39b691f1ff902f4ecf30",
-    ((12, 16, 4), "none"): "0a9ab8a74ffa1887787a306f6e27a9b0bbabfd011869c3230359eebe48b79181",
+    ((8, 12, 3), "random"): "b8c4d8ebf2b154435a8bcfce5df6e72b70fba76937d78b27b39982b9888ffdaf",
+    ((8, 12, 3), "anti-reciprocal"): "8c923fd035d4219682b1e8bd085f2c3a5cf8d475137d835d64399c4acf8ef1c5",
+    ((8, 12, 3), "reciprocal"): "1cafcacb9754f6976fc9997c158cff704df80bc0ddd3be4e53c71dca18ecddbb",
+    ((8, 12, 3), "none"): "40dd8faeb94770b8d0da7415eae89e2891e76011a08b3aa28e7fa9a6f80a9805",
+    ((12, 16, 4), "random"): "df2b462de19ca2b41c30ac20625320b1e8d2cb346c7147f4b0f2b4a53758265c",
+    ((12, 16, 4), "anti-reciprocal"): "d69b1f8bd3b39928979247f052ce3e6b781facf276ab652db642fe3f1248e374",
+    ((12, 16, 4), "reciprocal"): "28b0f5b4ac0462eda318684f0526a8d2e1d3ed48d73ddc647bbc5946e2d7364d",
+    ((12, 16, 4), "none"): "5c85fc8ba3c884dcb881b4de4da2a66adb4c0e576fb39f72ba6ec70bcb4e0cc3",
 }
 
 
@@ -207,8 +207,6 @@ class TestSetup:
             assert xs == [1, 2, 3, 4]
         hosted_xs = [sub.x for node in toy_system.nodes.values() for _, sub in node.hosted]
         assert hosted_xs == [5, 5, 5]
-        for entry in registry_dict(toy_system)["groups"]:
-            assert entry["sss_x"] == ["1", "2", "3", "4", "5"]
 
     def test_same_seed_identical_files(self, tmp_path):
         for name in ("a", "b"):
@@ -343,8 +341,9 @@ class TestPlacement:
     def test_group_records_nothing_about_holder(self, toy_system):
         registry = registry_dict(toy_system)
         assert "holder" not in json.dumps(registry).lower()
-        for entry in registry["groups"]:
-            assert set(entry) == {"id", "members", "x_lambda", "sss_x", "digest_hex"}
+        assert set(registry) == {
+            "modulus", "k", "n", "m", "placement_mode", "hw_ids", "x_lambda",
+        }
 
     @pytest.mark.parametrize("shape", [(8, 12, 3), (12, 16, 4), (24, 48, 12)])
     @pytest.mark.parametrize(
@@ -755,9 +754,8 @@ class TestPersistence:
                     strings.add(leaf)
         words = {s for s in strings if s.strip("0123456789abcdef")}
         assert words <= set(PLACEMENT_MODES) | {
-            "modulus", "k", "n", "m", "placement_mode", "participants", "id",
-            "x", "hw_id", "groups", "members", "x_lambda", "sss_x",
-            "digest_hex", "y", "sss_subshare", "hosted", "subshare",
+            "modulus", "k", "n", "m", "placement_mode", "hw_ids", "x_lambda",
+            "id", "y", "sss_subshare", "x", "hosted", "digest_hex", "subshare",
         }
         assert not [s for s in words if "true" in s]
 
