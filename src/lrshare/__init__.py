@@ -44,7 +44,6 @@ from .protocol import (
     recover_secret,
     request_repair,
     save_state,
-    storage_accounting,
     system_setup,
 )
 from .shamir import Share, recover, reconstruct_polynomial, split

@@ -72,9 +72,9 @@ def cmd_setup(args) -> int:
         {
             "id": g,
             "members": list(members(g, state.gamma)),
-            "digest_hex": rec.digest_hex,
+            "digest_hex": state.digest(g),
         }
-        for g, rec in sorted(state.groups.items())
+        for g in range(1, state.m + 1)
     ]
     record = {
         "record": "setup",

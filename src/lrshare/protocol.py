@@ -6,11 +6,13 @@ purpose: the point of the simulation is exhaustive, reproducible checks of
 what travels where, which sockets would only obscure.
 
 Public data lives in the registry (modulus, thresholds, the hardware ids,
-each group's x_lambda); every other x, group membership and the groups'
-hash identities follow from position.  Private data lives only in node
-stores: each node's primary share value, its own group sub-share, and any
-foreign sub-shares it happens to host.  A group never records who holds
-its external sub-share; the holder is found again at repair time by
+each group's x_lambda), and SystemState holds it as the registry stores
+it; every other x and group membership follow from position, and a
+group's hash identity is derived from its members' hardware ids where it
+is used (SystemState.digest).  Private data lives only in node stores:
+each node's primary share value, its own group sub-share, and any foreign
+sub-shares it happens to host.  A group never records who holds its
+external sub-share; the holder is found again at repair time by
 broadcasting the group's hash identity, and the holder itself knows the
 digest but not the group behind it.
 
@@ -93,43 +95,39 @@ class NodeStore:
 
 
 @dataclass
-class GroupRecord:
-    """Public per-group record, kept in SystemState.groups under its group
-    id; the members are groups.members(group_id, gamma).
-
-    x_lambda is the weak-redundancy point's x, or None when the system was
-    built without repair redundancy (bare threshold sharing); it is the one
-    per-group value the registry stores.  digest_hex, the group's hash
-    identity, is always computed by _group_records from the members'
-    hardware ids, never read.  The sub-share x values are not stored: the
-    member at 1-based position i of the members holds x = i, and the
-    external sub-share sits at x = gamma + 1.
-    """
-
-    x_lambda: int | None
-    digest_hex: str
-
-
-@dataclass
 class SystemState:
-    """One complete simulated system: public registry plus all node stores.
-    Participant i's share sits at x = i, in group groups.group_of(i, gamma);
-    group g's members are groups.members(g, gamma)."""
+    """One simulated system: the public registry, held as registry.json
+    stores it, plus the node stores loaded (all of them but after a
+    partial load_state).
+
+    Participant i's share sits at x = i, in group groups.group_of(i, gamma),
+    and hw_ids[i - 1] is its hardware id; group g's members are
+    groups.members(g, gamma), and the member at 1-based position i holds the
+    sub-share at x = i, the external one sitting at x = gamma + 1.
+    x_lambda[g - 1] is group g's weak-redundancy point's x, or None when
+    the system was built without repair redundancy (bare threshold sharing).
+    """
 
     field: PrimeField
     k: int
     n: int
     m: int
     placement_mode: str
-    groups: dict[int, GroupRecord]
+    hw_ids: list[int]
+    x_lambda: list[int | None]
     nodes: dict[int, NodeStore]
 
     @property
     def gamma(self) -> int:
         return self.n // self.m
 
+    def digest(self, g: int) -> str:
+        """Group g's hash identity, from its members' hardware ids."""
+        ids = self.hw_ids
+        return hash_identity(ids[i - 1] for i in grouping.members(g, self.gamma))
+
     def group_digests(self) -> dict[str, int]:
-        return {rec.digest_hex: g for g, rec in self.groups.items()}
+        return {self.digest(g): g for g in range(1, self.m + 1)}
 
 
 _REDACTED_KEYS = frozenset({"y", "sub_y", "point_y"})
@@ -199,21 +197,6 @@ def hash_identity(hw_ids: Iterable[int]) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _group_records(
-    hw_ids: list[int], x_lambdas: list[int | None], gamma: int
-) -> dict[int, GroupRecord]:
-    """Group g's record from x_lambdas[g - 1], with hash_identity of its
-    members' hardware ids as its digest; hw_ids[i - 1] is participant i's.
-    Setup and load_state both build the records here, so no digest is
-    ever stored apart from the ids it comes from."""
-    return {
-        g: GroupRecord(
-            x_lambda, hash_identity(hw_ids[i - 1] for i in grouping.members(g, gamma))
-        )
-        for g, x_lambda in enumerate(x_lambdas, 1)
-    }
-
-
 def _draw_holder(
     group_id: int, barred: set[int], n: int, gamma: int, rng: random.Random
 ) -> int:
@@ -257,7 +240,7 @@ def _place_all(
     result a pure function of the seed.
     """
     anti_reciprocal = placement == PLACEMENT_ANTI_RECIPROCAL
-    group_ids, gamma = sorted(state.groups), state.gamma
+    group_ids, gamma = range(1, state.m + 1), state.gamma
     for _ in range(_PLACEMENT_ATTEMPTS):
         bars = {g: {g} for g in group_ids}  # barred groups, per group
         if placement == PLACEMENT_RECIPROCAL:
@@ -273,8 +256,7 @@ def _place_all(
                 continue
             raise
         for g, holder_id in holders.items():
-            hosted = (state.groups[g].digest_hex, external[g])
-            state.nodes[holder_id].hosted.append(hosted)
+            state.nodes[holder_id].hosted.append((state.digest(g), external[g]))
         return
     raise PlacementError(
         f"no admissible placement found in {_PLACEMENT_ATTEMPTS} rounds"
@@ -342,7 +324,7 @@ def system_setup(
         for i in range(1, n + 1)
     }
 
-    x_lambdas: list[int | None] = [None] * m
+    x_lambda: list[int | None] = [None] * m
     external: dict[int, Share] = {}
     if placement != PLACEMENT_NONE:
         for g, block in enumerate(blocks, 1):
@@ -358,17 +340,9 @@ def system_setup(
             for idx, member in enumerate(block):
                 nodes[member].subshare = sss[idx]
             external[g] = sss[-1]
-            x_lambdas[g - 1] = weak.x
+            x_lambda[g - 1] = weak.x
 
-    state = SystemState(
-        field=field,
-        k=k,
-        n=n,
-        m=m,
-        placement_mode=placement,
-        groups=_group_records(hw_ids, x_lambdas, gamma),
-        nodes=nodes,
-    )
+    state = SystemState(field, k, n, m, placement, hw_ids, x_lambda, nodes)
 
     if placement != PLACEMENT_NONE:
         _place_all(state, external, derive_rng(seed, "placement"), placement)
@@ -436,8 +410,8 @@ def request_repair(
         )
     gamma = state.gamma
     group_id = grouping.group_of(failed_id, gamma)
-    group = state.groups[group_id]
-    if group.x_lambda is None:
+    x_lambda = state.x_lambda[group_id - 1]
+    if x_lambda is None:
         raise ConfigurationError(f"group {group_id} carries no repair redundancy")
     block = grouping.members(group_id, gamma)
     survivors = [mid for mid in block if mid != failed_id]
@@ -460,8 +434,9 @@ def request_repair(
         trace.add("ack", mid, (failed_id,), failed=failed_id)
 
     everyone_else = tuple(i for i in sorted(state.nodes) if i != failed_id)
-    trace.add("digest-broadcast", failed_id, everyone_else, digest=group.digest_hex)
-    holder_id, external_sub = lookup_holder(state, group.digest_hex)
+    digest = state.digest(group_id)
+    trace.add("digest-broadcast", failed_id, everyone_else, digest=digest)
+    holder_id, external_sub = lookup_holder(state, digest)
     trace.add(
         "holder-response",
         holder_id,
@@ -489,13 +464,13 @@ def request_repair(
         failed_id,
         (failed_id,),
         points=gamma,
-        x_lambda=group.x_lambda,
+        x_lambda=x_lambda,
     )
     surviving_points = [state.nodes[mid].primary for mid in survivors]
     repaired_y = grouping.repair_share(
         state.field,
         surviving_points,
-        Share(group.x_lambda, sub_secret),
+        Share(x_lambda, sub_secret),
         failed_x,
         gamma,
     )
@@ -525,47 +500,23 @@ def recover_secret(state: SystemState, participant_ids: Iterable[int]) -> int:
     return shamir.recover(state.field, shares, state.k)
 
 
-def storage_accounting(state: SystemState) -> dict:
-    """Count private field elements per node and system-wide.
-
-    Own-role elements are the primary share value and the node's group
-    sub-share; hosted foreign sub-shares are counted separately.  A full
-    system with redundancy stores 2n + m private elements in total.
-    """
-    per_node = {}
-    for node_id in sorted(state.nodes):
-        node = state.nodes[node_id]
-        own = int(node.primary is not None) + int(node.subshare is not None)
-        per_node[node_id] = {"own_role": own, "hosted": len(node.hosted)}
-    total = sum(v["own_role"] + v["hosted"] for v in per_node.values())
-    return {"per_node": per_node, "total_private_elements": total}
-
-
 # -- flat-file persistence ----------------------------------------------------
 
 
-def _registry(modulus, k, n, m, placement_mode, hw_ids, x_lambdas) -> dict:
-    """The one statement of the registry format: only what position cannot
-    give.  hw_ids[i - 1] is participant i's hardware id, written as one
-    string of 12 lowercase hex digits per participant; x_lambdas[g - 1] is
-    group g's x_lambda, a decimal string or None."""
-    return {
-        "modulus": modulus,
-        "k": k,
-        "n": n,
-        "m": m,
-        "placement_mode": placement_mode,
-        "hw_ids": "".join("%012x" % hw for hw in hw_ids),
-        "x_lambda": [None if x is None else str(x) for x in x_lambdas],
-    }
-
-
 def registry_dict(state: SystemState) -> dict:
-    """The public registry: no y values, no sub-shares, no holder locations."""
-    hw_ids = [state.nodes[i].identity.hw_id for i in sorted(state.nodes)]
-    x_lambdas = [rec.x_lambda for _, rec in sorted(state.groups.items())]
-    p, mode = state.field.modulus, state.placement_mode
-    return _registry(p, state.k, state.n, state.m, mode, hw_ids, x_lambdas)
+    """The one statement of the registry format: the public data, which
+    is only what position cannot give, and no y values, sub-shares or
+    holder locations.  The hardware ids are one string of 12 lowercase
+    hex digits per participant, each x_lambda a decimal string or None."""
+    return {
+        "modulus": state.field.modulus,
+        "k": state.k,
+        "n": state.n,
+        "m": state.m,
+        "placement_mode": state.placement_mode,
+        "hw_ids": "".join("%012x" % hw for hw in state.hw_ids),
+        "x_lambda": [None if x is None else str(x) for x in state.x_lambda],
+    }
 
 
 def _share_dict(share: Share | None) -> dict | None:
@@ -668,7 +619,8 @@ def save_state(
     '*.json.tmp' are removed: a save cut short leaves no registry, so
     load_state refuses the directory.  The state must then hold every
     participant's store; a partial load_state result raises
-    ConfigurationError, since its registry would list only the loaded nodes.
+    ConfigurationError, since it has no store to write for the nodes it
+    did not load.
     The node files are opened by name under one descriptor of the nodes
     directory, in sorted node order, and written with os.write until every
     byte is out; an OSError names the file's full path.
@@ -721,8 +673,8 @@ _ABSENT = object()
 
 
 def _first_difference(read, written, where: str = "") -> str:
-    """The JSON pointer, such as '/groups/1/sss_x', of the first value in
-    the parsed file read that differs from written."""
+    """The JSON pointer, such as '/hosted/0/subshare/y', of the first
+    value in the parsed file read that differs from written."""
     if type(read) is type(written) is dict:
         keys = sorted(read.keys() | written.keys())
         pairs = [(k, read.get(k, _ABSENT), written.get(k, _ABSENT)) for k in keys]
@@ -757,10 +709,12 @@ def load_state(
     full.  Node files are opened under one descriptor of the nodes
     directory (POSIX dir_fd).
 
-    Every x, the group layout and every group digest follow from position
-    and the hardware ids (_group_records); nothing else is read for them.
-    A file is accepted only if the writer gives its parsed JSON back:
-    _registry of the values read, or node_store_dict of the store read.
+    The state holds the registry's values as read; every x and the group
+    layout follow from position, and nothing else is read for them.  The
+    group digests are derived only on the first hosted record read, to
+    check it, so a load whose nodes host nothing derives none.  A file is
+    accepted only if the writer gives its parsed JSON back: registry_dict
+    of the state built, or node_store_dict of the store read.
     Otherwise, or when a file is not UTF-8 JSON or lacks an entry (a
     registry in an older format among them), StateFileError names the file
     and the first key that differs.  So do the checks a rewrite cannot
@@ -805,26 +759,22 @@ def load_state(
         ]
         # m nulls under 'none', m decimal strings otherwise: int(None) raises,
         # and a string under 'none' is written back as null
-        x_lambdas = [None] * m if mode == PLACEMENT_NONE else [int(x) for x in x_text]
-        p = field.modulus
-        _check_written(path, registry, _registry(p, k, n, m, mode, hw_ids, x_lambdas))
+        x_lambda = [None] * m if mode == PLACEMENT_NONE else [int(x) for x in x_text]
+        state = SystemState(field, k, n, m, mode, hw_ids, x_lambda, {})
+        _check_written(path, registry, registry_dict(state))
         # distinct ids keep the derived digests distinct, as setup draws them
         if len(set(hw_ids)) != n:
             raise StateFileError(f"{path}: hw_ids holds a hardware id twice")
-        gamma = n // m
-        groups = _group_records(hw_ids, x_lambdas, gamma)
+        p, gamma = field.modulus, state.gamma
 
         wanted = sorted(range(1, n + 1) if node_ids is None else set(node_ids))
         unknown = [node_id for node_id in wanted if not 1 <= node_id <= n]
         if unknown:
             raise ConfigurationError(f"unknown node {', '.join(map(str, unknown))}")
 
-        hosts = {  # digests a node may host an external sub-share for
-            rec.digest_hex for rec in groups.values() if rec.x_lambda is not None
-        }
+        hosts = None  # the digests a node may host, derived on first use
         node_dir = os.path.join(root, NODE_DIR)
         width = len(str(n))
-        nodes = {}
         dir_fd = os.open(node_dir, os.O_RDONLY | os.O_DIRECTORY)
         for node_id in wanted:
             name = _node_name(node_id, width)
@@ -832,7 +782,7 @@ def load_state(
             raw = _read_json(name, path, dir_fd)
             y, sub, hosted_raw = raw["y"], raw["sss_subshare"], raw["hosted"]
             g = grouping.group_of(node_id, gamma)
-            held = y is not None and groups[g].x_lambda is not None
+            held = y is not None and x_lambda[g - 1] is not None
             if (sub is not None) != held:
                 raise StateFileError(
                     f"{path}: sss_subshare must be {'set' if held else 'null'}"
@@ -843,6 +793,8 @@ def load_state(
             hosted = []
             for entry in hosted_raw:
                 digest = entry["digest_hex"]
+                if hosts is None:  # a bare threshold state hosts nothing
+                    hosts = {} if mode == PLACEMENT_NONE else state.group_digests()
                 if digest not in hosts:
                     raise StateFileError(
                         f"{path}: hosted {digest!r} names no group with redundancy"
@@ -857,7 +809,7 @@ def load_state(
             for _, share in hosted:
                 if not 0 <= share.y < p:
                     raise DomainError(f"{path}: hosted y={share.y} outside [0, {p})")
-            nodes[node_id] = node
+            state.nodes[node_id] = node
     except SharingError:
         # DomainError is a ValueError too; it must keep its own exit code
         raise
@@ -868,4 +820,4 @@ def load_state(
         if dir_fd is not None:
             os.close(dir_fd)
 
-    return SystemState(field, k, n, m, mode, groups, nodes)
+    return state

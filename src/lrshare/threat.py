@@ -152,7 +152,7 @@ def attacker_closure(state: SystemState, compromised) -> AttackerKnowledge:
     digest_to_group = state.group_digests()
 
     known_primary: dict[int, int] = {}
-    known_subshares: dict[int, set[Share]] = {g: set() for g in state.groups}
+    known_subshares: dict[int, set[Share]] = {g: set() for g in range(1, state.m + 1)}
     for node_id in comp:
         node = state.nodes[node_id]
         if node.primary is not None:
@@ -166,8 +166,8 @@ def attacker_closure(state: SystemState, compromised) -> AttackerKnowledge:
     changed = True
     while changed:
         changed = False
-        for group_id, rec in state.groups.items():
-            if rec.x_lambda is None:
+        for group_id, x_lambda in enumerate(state.x_lambda, 1):
+            if x_lambda is None:
                 continue
             subs = known_subshares[group_id]
             if group_id not in derived and len(subs) >= gamma:
@@ -181,7 +181,7 @@ def attacker_closure(state: SystemState, compromised) -> AttackerKnowledge:
             if group_id in derived and gamma - 1 <= len(member_points) < gamma:
                 missing = [mid for mid in block if mid not in known_primary]
                 values = field.interpolate_at(
-                    member_points + [(rec.x_lambda, derived[group_id])],
+                    member_points + [(x_lambda, derived[group_id])],
                     missing,
                 )
                 known_primary.update(zip(missing, values))
@@ -248,7 +248,7 @@ def _min_under(state: SystemState, holders: dict[int, int]) -> CompromiseResult:
     the search stops at the first |T| whose bound reaches the best size.
     """
     gamma, k = state.gamma, state.k
-    bonus_groups = sorted(g for g in holders if state.groups[g].x_lambda is not None)
+    bonus_groups = sorted(g for g in holders if state.x_lambda[g - 1] is not None)
     best = None
     for count in range(len(bonus_groups) + 1):
         if best is not None and (gamma - 1) * count >= best[0]:
@@ -297,7 +297,7 @@ def admissible_placements(
     command: it is the exhaustive reference for the closed-form sweep.
     """
     gamma = state.gamma
-    group_ids = sorted(state.groups)
+    group_ids = range(1, state.m + 1)
     candidates = [
         [i for i in sorted(state.nodes) if i not in members(g, gamma)]
         for g in group_ids
@@ -327,7 +327,7 @@ def min_compromise_over_placements(
     except that group t points back to group 1 when t >= c.  The exact
     search under that placement gives the witness.
     """
-    if any(rec.x_lambda is None for rec in state.groups.values()):
+    if None in state.x_lambda:
         raise ConfigurationError(
             "placement sweep needs a system with repair redundancy"
         )
@@ -337,9 +337,8 @@ def min_compromise_over_placements(
     if m < c:
         raise ConfigurationError("no admissible placement to sweep")
     best = min(range(m + 1), key=lambda t: max((gamma - 1) * t + (0 < t < c), k - t))
-    group_ids = sorted(state.groups)
     holders = {}
-    for i, g in enumerate(group_ids):
-        host = 0 if i + 1 == best >= c else (i + 1) % m
-        holders[g] = members(group_ids[host], gamma)[0]
+    for g in range(1, m + 1):
+        host = 1 if g == best >= c else g % m + 1
+        holders[g] = members(host, gamma)[0]
     return _min_under(state, holders)

@@ -13,6 +13,22 @@ TOY = dict(k=8, n=12, m=3, secret=42, seed=7)
 _LEAST_GROUPS = {protocol.PLACEMENT_NONE: 1, protocol.PLACEMENT_ANTI_RECIPROCAL: 3}
 
 
+def storage_accounting(state) -> dict:
+    """Private field elements per node and system-wide, the paper's count.
+
+    Own-role elements are the primary share value and the node's group
+    sub-share; hosted foreign sub-shares are counted separately.  A full
+    system with redundancy stores 2n + m private elements in total.
+    """
+    per_node = {}
+    for node_id in sorted(state.nodes):
+        node = state.nodes[node_id]
+        own = int(node.primary is not None) + int(node.subshare is not None)
+        per_node[node_id] = {"own_role": own, "hosted": len(node.hosted)}
+    total = sum(v["own_role"] + v["hosted"] for v in per_node.values())
+    return {"per_node": per_node, "total_private_elements": total}
+
+
 @st.composite
 def system_shapes(draw, max_n):
     """(k, n, m, placement, seed) of a buildable system with at most max_n nodes."""

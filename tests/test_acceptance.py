@@ -16,17 +16,18 @@ from itertools import combinations
 
 import pytest
 
+from lrshare import protocol
 from lrshare.cli import main
 from lrshare.field import DEFAULT_MODULUS, PrimeField
 from lrshare.groups import group_of, members
 from lrshare.protocol import (
     PLACEMENT_NONE,
     PLACEMENT_RECIPROCAL,
+    load_state,
     mark_failed,
     registry_dict,
     request_repair,
     save_state,
-    storage_accounting,
     system_setup,
 )
 from lrshare.shamir import recover, split
@@ -41,6 +42,7 @@ from lrshare.threat import (
     p1_exact,
     p2_exact,
 )
+from tests.conftest import storage_accounting
 
 TOY = dict(k=8, n=12, m=3, secret=42, seed=7)
 
@@ -252,7 +254,7 @@ def test_c9_repair_cost_independent_of_system_size():
     def mean_repair_seconds(n, m, repairs):
         base = system_setup(8, n, m, secret=42, seed=7)
         target_nodes = [members(g, base.gamma)[0] for g in
-                        sorted(base.groups)][:repairs]
+                        range(1, base.m + 1)][:repairs]
         while len(target_nodes) < repairs:
             target_nodes += target_nodes
         timings = []
@@ -325,3 +327,39 @@ def test_c9_fail_opens_the_same_files_at_every_system_size(tmp_path, monkeypatch
             assert main(["--state-dir", str(directory), "fail", "--node", "5"]) == 0
         name = f"node_{5:0{len(str(n))}d}.json"
         assert opened == ["registry.json", "nodes", name, name + ".tmp"], n
+
+
+def test_c9_group_digests_derived_only_where_used(tmp_path, monkeypatch):
+    """A partial load derives the m group digests only to check a hosted
+    record, so loading a node that hosts nothing hashes no ids at every
+    system size; a repair derives its own group's digest once, for its
+    broadcast, beside the m of its full load."""
+    derived = []
+    real_hash_identity = protocol.hash_identity
+
+    def counted_hash_identity(hw_ids):
+        derived.append(1)
+        return real_hash_identity(hw_ids)
+
+    def derivations(call, *args):
+        derived.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "hash_identity", counted_hash_identity)
+            call(*args)
+        return len(derived)
+
+    for k, n, m in [(8, 12, 3), (8, 120, 30), (128, 1024, 256)]:
+        directory = tmp_path / str(n)
+        state = system_setup(k, n, m, secret=42, seed=7)
+        save_state(state, directory)
+        plain = min(i for i, node in state.nodes.items() if not node.hosted)
+        holder = min(i for i, node in state.nodes.items() if node.hosted)
+        assert derivations(load_state, directory, [plain]) == 0, n
+        assert derivations(load_state, directory, [holder]) == m, n
+
+        def load_and_repair():
+            full = load_state(directory)
+            mark_failed(full, plain)
+            request_repair(full, full.nodes[plain].identity, plain)
+
+        assert derivations(load_and_repair) == m + 1, n

@@ -420,15 +420,41 @@ class TestCorruptState:
         assert self.recover_all(capsys, state_dir)[0] == 3
 
     def test_unknown_hosted_digest_exits_three(self, state_dir, capsys):
+        # a partial load derives the group digests on the first hosted
+        # record it reads, so fail and recover check the holder's file too
         holder = hosting_node(state_dir)
         path = edit_node(
             state_dir, holder, lambda raw: raw["hosted"][0].update(digest_hex="f" * 64)
         )
-        code, out, err = run(capsys, "attack", "--mode", "enum", state_dir=state_dir)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("io-error:")
-        assert path.name in err
+        for command in (
+            ["attack", "--mode", "enum"],
+            ["fail", "--node", str(holder)],
+            ["recover", "--participants", *ALL_NODES],
+        ):
+            code, out, err = run(capsys, *command, state_dir=state_dir)
+            assert code == 3, command
+            assert out == ""
+            assert err.startswith("io-error:")
+            assert path.name in err
+
+    def test_hosted_entry_in_a_bare_state_exits_three(self, tmp_path, capsys):
+        # the same seed draws the same hardware ids, so the copied digest is
+        # a group's; but a bare threshold state hosts nothing
+        placed, bare = tmp_path / "placed", tmp_path / "bare"
+        assert run(capsys, "setup", *TOY_FLAGS, state_dir=placed)[0] == 0
+        flags = [*TOY_FLAGS, "--placement", "none"]
+        assert run(capsys, "setup", *flags, state_dir=bare)[0] == 0
+        holder = hosting_node(placed)
+        hosted = json.loads(
+            (placed / "nodes" / f"node_{holder:02d}.json").read_text()
+        )["hosted"]
+        path = edit_node(bare, holder, lambda raw: raw.update(hosted=hosted))
+        for command in (["fail", "--node", str(holder)], ["attack", "--mode", "enum"]):
+            code, out, err = run(capsys, *command, state_dir=bare)
+            assert (code, out) == (3, ""), command
+            assert err.startswith("io-error:")
+            assert str(path) in err
+            assert "names no group with redundancy" in err
 
     def test_node_file_of_another_node_exits_three(self, state_dir, capsys):
         nodes = state_dir / "nodes"

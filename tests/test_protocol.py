@@ -42,11 +42,10 @@ from lrshare.protocol import (
     registry_dict,
     request_repair,
     save_state,
-    storage_accounting,
     system_setup,
 )
 from lrshare.seeds import derive_rng
-from tests.conftest import TOY, system_shapes
+from tests.conftest import TOY, storage_accounting, system_shapes
 
 
 def reference_placement(n, m, placement, rng):
@@ -87,7 +86,7 @@ def reference_placement(n, m, placement, rng):
 
 
 def holder_of(state, group_id):
-    digest = state.groups[group_id].digest_hex
+    digest = state.digest(group_id)
     for node_id, node in state.nodes.items():
         if any(d == digest for d, _ in node.hosted):
             return node_id
@@ -156,7 +155,7 @@ class TestHashIdentity:
         assert hash_identity([1, 2, 3]) == hash_identity([1, 2, 3])
 
     def test_distinct_groups_distinct_digests(self, toy_system):
-        digests = {rec.digest_hex for rec in toy_system.groups.values()}
+        digests = {toy_system.digest(g) for g in (1, 2, 3)}
         assert len(digests) == 3
 
     def test_lowercase_hex_256_bits(self):
@@ -176,9 +175,9 @@ class TestHashIdentity:
 class TestSetup:
     def test_toy_layout(self, toy_system):
         assert len(toy_system.nodes) == 12
-        assert len(toy_system.groups) == 3
+        assert len(toy_system.x_lambda) == 3
         assert toy_system.gamma == 4
-        assert [tuple(members(g, toy_system.gamma)) for g in toy_system.groups] == [
+        assert [tuple(members(g, toy_system.gamma)) for g in (1, 2, 3)] == [
             (1, 2, 3, 4),
             (5, 6, 7, 8),
             (9, 10, 11, 12),
@@ -194,15 +193,15 @@ class TestSetup:
         assert len(set(hw)) == 12
 
     def test_x_lambda_avoids_member_xs_and_zero(self, toy_system):
-        for g, rec in toy_system.groups.items():
+        for g, x_lambda in enumerate(toy_system.x_lambda, 1):
             block = members(g, toy_system.gamma)
             member_xs = {toy_system.nodes[m].primary.x for m in block}
             assert member_xs == set(block)
-            assert rec.x_lambda != 0
-            assert rec.x_lambda not in member_xs
+            assert x_lambda != 0
+            assert x_lambda not in member_xs
 
     def test_member_subshares_use_group_namespace(self, toy_system):
-        for g in toy_system.groups:
+        for g in (1, 2, 3):
             xs = [toy_system.nodes[m].subshare.x for m in members(g, toy_system.gamma)]
             assert xs == [1, 2, 3, 4]
         hosted_xs = [sub.x for node in toy_system.nodes.values() for _, sub in node.hosted]
@@ -287,7 +286,7 @@ class TestSetup:
             system_setup(8, 12, 3, secret=1, seed=None)
 
     def test_bare_system_has_no_redundancy(self, bare_system):
-        assert all(rec.x_lambda is None for rec in bare_system.groups.values())
+        assert bare_system.x_lambda == [None] * 3
         assert all(node.subshare is None for node in bare_system.nodes.values())
         assert all(not node.hosted for node in bare_system.nodes.values())
         total = storage_accounting(bare_system)["total_private_elements"]
@@ -301,7 +300,7 @@ class TestPlacement:
         )
         for placement, seed in product(placements, range(50)):
             state = system_setup(8, 12, 3, secret=1, seed=seed, placement=placement)
-            for group_id in state.groups:
+            for group_id in (1, 2, 3):
                 holder = holder_of(state, group_id)
                 assert holder is not None
                 assert holder not in members(group_id, state.gamma)
@@ -311,8 +310,8 @@ class TestPlacement:
             state = system_setup(
                 8, 12, 3, secret=1, seed=seed, placement=PLACEMENT_ANTI_RECIPROCAL
             )
-            holders = {g: holder_of(state, g) for g in state.groups}
-            for g, h in combinations(state.groups, 2):
+            holders = {g: holder_of(state, g) for g in (1, 2, 3)}
+            for g, h in combinations(holders, 2):
                 mutual = (
                     holders[g] in members(h, state.gamma)
                     and holders[h] in members(g, state.gamma)
@@ -323,8 +322,8 @@ class TestPlacement:
         found = False
         for seed in range(50):
             state = system_setup(8, 12, 3, secret=1, seed=seed)
-            holders = {g: holder_of(state, g) for g in state.groups}
-            for g, h in combinations(state.groups, 2):
+            holders = {g: holder_of(state, g) for g in (1, 2, 3)}
+            for g, h in combinations(holders, 2):
                 if (
                     holders[g] in members(h, state.gamma)
                     and holders[h] in members(g, state.gamma)
@@ -356,7 +355,7 @@ class TestPlacement:
             expected = reference_placement(
                 n, m, placement, derive_rng(seed, "placement")
             )
-            assert {g: holder_of(state, g) for g in state.groups} == expected
+            assert {g: holder_of(state, g) for g in range(1, m + 1)} == expected
 
     @pytest.mark.parametrize(
         "shape, placement",
@@ -398,8 +397,8 @@ class TestPlacement:
 
 class TestLookupHolder:
     def test_exactly_one_responder(self, toy_system):
-        for g, rec in toy_system.groups.items():
-            node_id, sub = lookup_holder(toy_system, rec.digest_hex)
+        for g in (1, 2, 3):
+            node_id, sub = lookup_holder(toy_system, toy_system.digest(g))
             assert node_id not in members(g, toy_system.gamma)
             assert sub.x == 5
 
@@ -408,14 +407,14 @@ class TestLookupHolder:
             lookup_holder(toy_system, "ff" * 32)
 
     def test_crashed_holder_surfaces_loss(self, toy_system):
-        digest = toy_system.groups[1].digest_hex
+        digest = toy_system.digest(1)
         holder, _ = lookup_holder(toy_system, digest)
         mark_failed(toy_system, holder)
         with pytest.raises(HolderLostError):
             lookup_holder(toy_system, digest)
 
     def test_double_host_is_integrity_error(self, toy_system):
-        digest = toy_system.groups[1].digest_hex
+        digest = toy_system.digest(1)
         _, sub = lookup_holder(toy_system, digest)
         toy_system.nodes[12].hosted.append((digest, sub))
         with pytest.raises(IntegrityError):
@@ -449,7 +448,7 @@ class TestRepair:
         state = system_setup(k, n, m, secret=seed, seed=seed, placement=placement)
         before = {i: node_store_dict(node) for i, node in state.nodes.items()}
         failed = []
-        for g in state.groups:
+        for g in range(1, m + 1):
             idle = [i for i in members(g, state.gamma) if not state.nodes[i].hosted]
             if idle:
                 failed.append(data.draw(st.sampled_from(idle)))
@@ -721,9 +720,17 @@ class TestPersistence:
             assert node_store_dict(partial.nodes[node_id]) == node_store_dict(
                 full.nodes[node_id]
             )
-        for name in ("k", "n", "m", "placement_mode", "groups"):
+        for name in ("k", "n", "m", "placement_mode", "hw_ids", "x_lambda"):
             assert getattr(partial, name) == getattr(full, name), name
         assert partial.field.modulus == full.field.modulus
+
+    def test_partial_load_gives_the_full_registry(self, toy_system, tmp_path):
+        # the state holds the registry as saved, not rebuilt from the
+        # node stores loaded
+        save_state(toy_system, tmp_path)
+        registry = json.loads((tmp_path / "registry.json").read_text())
+        for ids in ([1], [5, 12], range(1, 9)):
+            assert registry_dict(load_state(tmp_path, ids)) == registry
 
     def test_partial_load_refuses_unknown_id_before_reading_nodes(
         self, toy_system, tmp_path

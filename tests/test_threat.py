@@ -25,7 +25,7 @@ from tests.conftest import TOY, system_shapes
 
 
 def holder_of(state, group_id):
-    digest = state.groups[group_id].digest_hex
+    digest = state.digest(group_id)
     for node_id, node in state.nodes.items():
         if any(d == digest for d, _ in node.hosted):
             return node_id
@@ -33,7 +33,8 @@ def holder_of(state, group_id):
 
 
 def state_holders(state):
-    return {g: h for g in state.groups if (h := holder_of(state, g)) is not None}
+    groups = range(1, state.m + 1)
+    return {g: h for g in groups if (h := holder_of(state, g)) is not None}
 
 
 # -- brute-force reference ----------------------------------------------------
@@ -53,8 +54,8 @@ class ReferenceCounter:
         self.node_ids = sorted(state.nodes)
         self.bit = {node_id: 1 << idx for idx, node_id in enumerate(self.node_ids)}
         self.groups = [
-            (g, self.mask_of(members(g, self.gamma)), rec.x_lambda is not None)
-            for g, rec in sorted(state.groups.items())
+            (g, self.mask_of(members(g, self.gamma)), x_lambda is not None)
+            for g, x_lambda in enumerate(state.x_lambda, 1)
         ]
 
     def mask_of(self, node_ids):
@@ -239,7 +240,7 @@ class TestClosure:
         for _ in range(200):
             comp = rng.sample(sorted(toy_system.nodes), rng.randrange(0, 13))
             knowledge = attacker_closure(toy_system, comp)
-            for group_id, rec in toy_system.groups.items():
+            for group_id in (1, 2, 3):
                 subs = knowledge.known_subshares[group_id]
                 if len(subs) >= gamma:
                     assert group_id in knowledge.derived_subsecrets
