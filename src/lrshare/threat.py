@@ -14,14 +14,15 @@ Three layers:
   over all admissible placements; refused above ENUMERATION_GROUP_LIMIT groups.
 
 The attacker model is conservative: the full public registry (every x,
-every group's weak-redundancy abscissa, every digest) is free, so hosted
-sub-shares found on compromised nodes are attributable to their group by
-digest.
+every group's weak-redundancy abscissa, and every digest derived from its
+hardware ids) is free, so hosted sub-shares found on compromised nodes are
+attributable to their group by digest.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -77,6 +78,11 @@ class CompromiseModel:
 
     def __post_init__(self):
         _check_q(self.q)
+        # a float seed would draw another stream ("9.0:" is not "9:")
+        if type(self.trials) is not int or type(self.seed) is not int:
+            raise ConfigurationError(
+                f"trials and seed must be ints, got {self.trials!r}, {self.seed!r}"
+            )
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
 
@@ -88,6 +94,13 @@ def mc_group_compromise(model: CompromiseModel, scheme: str) -> float:
     'sss5' draws 5 and succeeds when at least 4 fall.  Every trial derives
     its own randomness from (seed, scheme, trial index), so the estimate is
     identical under any execution order or partitioning of the trials.
+
+    Server j of trial t falls when the j-th 6-byte big-endian chunk of
+    SHA-256(f"{seed}:{scheme}:{t}") is below round(q * 2**48).  Such chunks
+    sort as bytes as their integers do, so each is compared, as bytes, with
+    the threshold's encoding (seven 0xff bytes at 2**48, above every chunk).
+    At least _GROUP_SIZE servers fall exactly when the _GROUP_SIZE-th
+    smallest chunk does: one test for both schemes.
     """
     if scheme == SCHEME_BASELINE4:
         servers = _GROUP_SIZE
@@ -96,16 +109,13 @@ def mc_group_compromise(model: CompromiseModel, scheme: str) -> float:
     else:
         raise DomainError(f"unknown scheme {scheme!r}")
     threshold = round(model.q * (1 << 48))
+    bound = threshold.to_bytes(6, "big") if threshold < 1 << 48 else b"\xff" * 7
+    chunks = struct.Struct("6s" * servers).unpack_from
     prefix = f"{model.seed}:{scheme}:".encode()
     hits = 0
     for trial in range(model.trials):
-        digest = hashlib.sha256(prefix + str(trial).encode()).digest()
-        fallen = 0
-        for j in range(servers):
-            chunk = int.from_bytes(digest[6 * j : 6 * j + 6], "big")
-            if chunk < threshold:
-                fallen += 1
-        if fallen >= _GROUP_SIZE:
+        digest = hashlib.sha256(prefix + b"%d" % trial).digest()
+        if sorted(chunks(digest))[_GROUP_SIZE - 1] < bound:
             hits += 1
     return hits / model.trials
 

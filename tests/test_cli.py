@@ -1206,6 +1206,17 @@ class TestAttack:
         assert out == ""
         assert err.startswith("configuration:")
 
+    def test_mc_readme_line(self, capsys):
+        code, out, err = run(
+            capsys, "attack", "--mode", "mc",
+            "--q", "0.5", "--trials", "100000", "--seed", "9",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "q=0.5 p1_exact=0.0625 p1_mc=0.0623 p2_exact=0.1875 p2_mc=0.18848 "
+            "trials=100000 seed=9\n"
+        )
+
     def test_mc_record_contents(self, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "attack", "--mode", "mc",

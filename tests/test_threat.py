@@ -1,9 +1,12 @@
 """Compromise probabilities, attacker closure, minimum-compromise search."""
 
+import hashlib
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrshare import protocol
 from lrshare.errors import ConfigurationError, DomainError, EnumerationLimitError
@@ -148,7 +151,130 @@ class TestExactFormulas:
                 assert diff > 0
 
 
+# -- Monte Carlo reference -----------------------------------------------------
+#
+# The trial loop the byte-order kernel replaced: each 6-byte chunk read as an
+# integer and the fallen servers counted.
+
+
+def reference_mc(model, scheme):
+    servers = {SCHEME_BASELINE4: 4, SCHEME_SSS5: 5}[scheme]
+    threshold = round(model.q * (1 << 48))
+    prefix = f"{model.seed}:{scheme}:".encode()
+    hits = 0
+    for trial in range(model.trials):
+        digest = hashlib.sha256(prefix + str(trial).encode()).digest()
+        fallen = 0
+        for j in range(servers):
+            chunk = int.from_bytes(digest[6 * j : 6 * j + 6], "big")
+            if chunk < threshold:
+                fallen += 1
+        if fallen >= 4:
+            hits += 1
+    return hits / model.trials
+
+
+# Hits per (scheme, q) for seeds 0, 9, -3 and 2**40 at 1, 7 and 3000 trials,
+# recorded from the reference loop.  0.9999999999999999 rounds to a
+# threshold of 2**48, which needs a seventh byte.
+MC_SEEDS = (0, 9, -3, 2**40)
+MC_TRIALS = (1, 7, 3000)
+NO_HITS, ALL_HITS = (0, 0, 0), MC_TRIALS
+MC_HITS = {
+    SCHEME_BASELINE4: {
+        0.0: (NO_HITS,) * 4,
+        1e-9: (NO_HITS,) * 4,
+        0.1: ((0, 0, 1), (0, 0, 0), (0, 0, 0), (0, 0, 1)),
+        0.5: ((0, 0, 190), (0, 0, 180), (0, 0, 201), (0, 0, 165)),
+        0.9: ((0, 5, 2004), (1, 5, 2021), (1, 6, 2010), (0, 6, 1948)),
+        0.9999999999999999: (ALL_HITS,) * 4,
+        1.0: (ALL_HITS,) * 4,
+    },
+    SCHEME_SSS5: {
+        0.0: (NO_HITS,) * 4,
+        1e-9: (NO_HITS,) * 4,
+        0.1: ((0, 0, 1), (0, 0, 2), (0, 0, 0), (0, 0, 2)),
+        0.5: ((0, 1, 561), (0, 1, 574), (0, 2, 561), (0, 1, 537)),
+        0.9: ((1, 7, 2776), (1, 7, 2780), (0, 4, 2765), (1, 7, 2749)),
+        0.9999999999999999: (ALL_HITS,) * 4,
+        1.0: (ALL_HITS,) * 4,
+    },
+}
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize(
+        "scheme, q", [(scheme, q) for scheme in MC_HITS for q in MC_HITS[scheme]]
+    )
+    def test_pinned_estimates(self, scheme, q):
+        for seed, row in zip(MC_SEEDS, MC_HITS[scheme][q]):
+            for trials, hits in zip(MC_TRIALS, row):
+                model = CompromiseModel(q=q, trials=trials, seed=seed)
+                assert mc_group_compromise(model, scheme) == hits / trials
+                assert reference_mc(model, scheme) == hits / trials
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        q=st.floats(0, 1) | st.sampled_from((0.0, 0.9999999999999999, 1.0)),
+        seed=st.integers(),
+        trials=st.integers(1, 300),
+        scheme=st.sampled_from((SCHEME_BASELINE4, SCHEME_SSS5)),
+    )
+    def test_matches_the_reference_loop(self, q, seed, trials, scheme):
+        model = CompromiseModel(q=q, trials=trials, seed=seed)
+        assert mc_group_compromise(model, scheme) == reference_mc(model, scheme)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        chunks=st.lists(
+            st.sampled_from((0, 1, 2**47 - 1, 2**47, 2**47 + 1, 2**48 - 1)),
+            min_size=5,
+            max_size=5,
+        ),
+        q=st.sampled_from((0.0, 0.5, 0.9999999999999999, 1.0)),
+        scheme=st.sampled_from((SCHEME_BASELINE4, SCHEME_SSS5)),
+    )
+    def test_chunks_at_the_threshold(self, chunks, q, scheme):
+        """Digests no seed reaches: chunks equal to, or one off, the threshold
+        of q = 0.5, and the all-0xff chunk below the threshold 2**48."""
+        digest = b"".join(c.to_bytes(6, "big") for c in chunks) + b"\0\0"
+
+        class Fixed:
+            def __init__(self, data):
+                pass
+
+            def digest(self):
+                return digest
+
+        model = CompromiseModel(q=q, trials=1, seed=0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hashlib, "sha256", Fixed)
+            assert mc_group_compromise(model, scheme) == reference_mc(model, scheme)
+
+    @pytest.mark.parametrize("scheme", [SCHEME_BASELINE4, SCHEME_SSS5])
+    def test_one_digest_per_trial(self, monkeypatch, scheme):
+        calls = []
+        sha256 = hashlib.sha256
+
+        def counting(data):
+            calls.append(data)
+            return sha256(data)
+
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        mc_group_compromise(CompromiseModel(q=0.5, trials=1000, seed=9), scheme)
+        assert len(calls) == 1000
+
+    def test_streams_in_bounded_memory(self):
+        """A list of 1e5 digests would take megabytes; the loop keeps one."""
+        model = CompromiseModel(q=0.5, trials=100_000, seed=9)
+        tracemalloc.start()
+        try:
+            mc_group_compromise(model, SCHEME_SSS5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
+
     def test_degenerate_q(self):
         model = CompromiseModel(q=0.0, trials=1000, seed=1)
         assert mc_group_compromise(model, SCHEME_BASELINE4) == 0.0
@@ -180,6 +306,15 @@ class TestMonteCarlo:
             CompromiseModel(q=0.5, trials=0, seed=1)
         with pytest.raises(DomainError):
             mc_group_compromise(CompromiseModel(q=0.5, trials=10, seed=1), "bogus")
+
+    @pytest.mark.parametrize(
+        "trials, seed",
+        [(10, 9.0), (10.0, 9), (True, 9), (10, True), (10, "9")],
+        ids=["float-seed", "float-trials", "bool-trials", "bool-seed", "str-seed"],
+    )
+    def test_non_int_trials_or_seed_refused(self, trials, seed):
+        with pytest.raises(ConfigurationError, match="must be ints"):
+            CompromiseModel(q=0.5, trials=trials, seed=seed)
 
 
 class TestClosure:
