@@ -203,6 +203,11 @@ class TestFailAndRecover:
         assert err.startswith("configuration:")
         assert "99" in err
 
+    @pytest.mark.parametrize("node", ["0", "-1", "13"])
+    def test_repair_unknown_node_exits_two(self, state_dir, capsys, node):
+        code, out, err = run(capsys, "repair", "--node", node, state_dir=state_dir)
+        assert (code, out, err) == (2, "", f"configuration: unknown node {node}\n")
+
     def test_double_fail_exits_two(self, state_dir, capsys):
         assert run(capsys, "fail", "--node", "3", state_dir=state_dir)[0] == 0
         assert run(capsys, "fail", "--node", "3", state_dir=state_dir)[0] == 2

@@ -138,6 +138,36 @@ GOLDEN_STDOUT_DIGESTS = {
 }
 
 
+# The same stdout under --format json, whose repair record lists every
+# trace event.
+GOLDEN_JSON_STDOUT_DIGESTS = {
+    ((8, 12, 3), "random"): "2c17c8557d70ebf0d50de4a71d21a73e39750358702b1b4083f5fcd85e768878",
+    ((8, 12, 3), "anti-reciprocal"): "d58eb4c7bff92d8e1398f01663658b5b95af6c33ae42a93a51cb70ccaa19036d",
+    ((8, 12, 3), "reciprocal"): "bf08aa0f2d04a98e96c537a1fca4941cbad7544767c5f2e5d16abea067eb4f59",
+    ((8, 12, 3), "none"): "67693250aaee11d205e55f44b3504a6d54905699fe0fea910794a432dce74452",
+    ((12, 16, 4), "random"): "69a2219efa8213d38160f5d6a5467a1489cca6fac69d8b8d23db9376b355c8d1",
+    ((12, 16, 4), "anti-reciprocal"): "5788a7b0e4d7449dfca1d1edb6c4830da0d7e28f7b485fbf552396630bfed758",
+    ((12, 16, 4), "reciprocal"): "256f5dee3ee5c2be2647d74d95c0538a176dba0dbc4f376b7759b00b6c1a9f80",
+    ((12, 16, 4), "none"): "7e088921ee8b233a12b5419f8c43b6716fcaf4f5cb195f05038dacfa89800b68",
+}
+
+
+def assert_console_digests(capsys, options, golden):
+    """Run each golden system's commands with options in the working
+    directory and compare the SHA-256 of their stdout with golden's."""
+    for (k, n, m), placement in product(((8, 12, 3), (12, 16, 4)), PLACEMENT_MODES):
+        sd = [*options, "--state-dir", f"{n}-{placement}"]
+        flags = ["--k", str(k), "--n", str(n), "--m", str(m), "--secret", "42"]
+        assert main([*sd, "setup", *flags, "--seed", "7", "--placement", placement]) == 0
+        if placement != "none":
+            assert main([*sd, "fail", "--node", "6"]) == 0
+            assert main([*sd, "repair", "--node", "6"]) == 0
+        assert main([*sd, "attack", "--mode", "enum"]) == 0
+        out = capsys.readouterr().out.encode()
+        digest = golden[(k, n, m), placement]
+        assert hashlib.sha256(out).hexdigest() == digest, (k, n, m, placement)
+
+
 def state_digest(directory, pattern="*.json"):
     h = hashlib.sha256()
     for path in sorted(directory.rglob(pattern)):
@@ -234,17 +264,13 @@ class TestSetup:
 
     def test_console_output_matches_golden_digests(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        for (k, n, m), placement in product(((8, 12, 3), (12, 16, 4)), PLACEMENT_MODES):
-            sd = ["--state-dir", f"{n}-{placement}"]
-            flags = ["--k", str(k), "--n", str(n), "--m", str(m), "--secret", "42"]
-            assert main([*sd, "setup", *flags, "--seed", "7", "--placement", placement]) == 0
-            if placement != "none":
-                assert main([*sd, "fail", "--node", "6"]) == 0
-                assert main([*sd, "repair", "--node", "6"]) == 0
-            assert main([*sd, "attack", "--mode", "enum"]) == 0
-            out = capsys.readouterr().out.encode()
-            digest = GOLDEN_STDOUT_DIGESTS[(k, n, m), placement]
-            assert hashlib.sha256(out).hexdigest() == digest, (k, n, m, placement)
+        assert_console_digests(capsys, [], GOLDEN_STDOUT_DIGESTS)
+
+    def test_json_console_output_matches_golden_digests(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert_console_digests(capsys, ["--format", "json"], GOLDEN_JSON_STDOUT_DIGESTS)
 
     def test_fail_repair_restores_golden_bytes(self, tmp_path):
         for (k, n, m), placement in product(((8, 12, 3), (12, 16, 4)), PLACEMENT_MODES):
