@@ -33,9 +33,7 @@ from .groups import (
     setup_sss,
 )
 from .protocol import (
-    NodeIdentity,
     NodeStore,
-    RepairTrace,
     SystemState,
     hash_identity,
     load_state,

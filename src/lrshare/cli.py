@@ -116,10 +116,9 @@ def cmd_fail(args) -> int:
 def cmd_repair(args) -> int:
     directory = _state_dir(args)
     state = protocol.load_state(directory)
-    proposer = state.nodes[args.node].identity if args.node in state.nodes else None
-    if proposer is None:
-        raise ConfigurationError(f"unknown node {args.node}")
-    repaired, restored, trace = protocol.request_repair(state, proposer, args.node)
+    # an unknown node has no registered id, and request_repair refuses it
+    hw_id = state.hw_ids[args.node - 1] if args.node in state.nodes else None
+    repaired, restored, trace = protocol.request_repair(state, hw_id, args.node)
     protocol.save_state(state, directory, [args.node])
     record = {
         "record": "repair",
@@ -137,7 +136,7 @@ def cmd_repair(args) -> int:
             for e in trace
         ],
     }
-    text = "\n".join(trace.lines() + [f"node {args.node} repaired"])
+    text = "\n".join([e.line() for e in trace] + [f"node {args.node} repaired"])
     _emit(args, record, text)
     return EXIT_OK
 

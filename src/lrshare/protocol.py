@@ -66,14 +66,6 @@ REGISTRY_FILE = "registry.json"
 NODE_DIR = "nodes"
 
 
-@dataclass(frozen=True)
-class NodeIdentity:
-    """Participant index plus a unique 48-bit hardware-style identifier."""
-
-    node_id: int
-    hw_id: int
-
-
 @dataclass
 class NodeStore:
     """Private store of one node.
@@ -81,10 +73,10 @@ class NodeStore:
     A healthy in-group node holds exactly two private field elements of its
     own system role: the primary share value and its group sub-share.
     Hosted foreign sub-shares carry only a digest, no group attribution.
-    Failure erases all three collections; the hardware id survives.
+    Failure erases all three collections; the node's id (its key in
+    SystemState.nodes) and hardware id (SystemState.hw_ids) are public.
     """
 
-    identity: NodeIdentity
     primary: Share | None
     subshare: Share | None
     hosted: list[tuple[str, Share]]
@@ -157,27 +149,6 @@ class TraceEvent:
         else:
             to = ",".join(str(r) for r in self.recipients)
         return f"{self.seq:03d} | {self.kind} | {self.sender} | {to} | {self.summary()}"
-
-
-class RepairTrace:
-    """Ordered message record of one repair run."""
-
-    def __init__(self):
-        self.events: list[TraceEvent] = []
-
-    def add(self, kind: str, sender: int, recipients: tuple[int, ...], **payload):
-        self.events.append(
-            TraceEvent(len(self.events), kind, sender, tuple(recipients), payload)
-        )
-
-    def lines(self) -> list[str]:
-        return [event.line() for event in self.events]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
 
 
 def hash_identity(hw_ids: Iterable[int]) -> str:
@@ -315,12 +286,7 @@ def system_setup(
 
     shares = shamir.split(field, secret, k, n, derive_rng(seed, "sharing"))
     nodes = {
-        i: NodeStore(
-            identity=NodeIdentity(i, hw_ids[i - 1]),
-            primary=shares[i - 1],
-            subshare=None,
-            hosted=[],
-        )
+        i: NodeStore(primary=shares[i - 1], subshare=None, hosted=[])
         for i in range(1, n + 1)
     }
 
@@ -350,7 +316,7 @@ def system_setup(
 
 
 def mark_failed(state: SystemState, node_id: int):
-    """Erase a node's private data (hardware id is retained)."""
+    """Erase a node's private data; its hardware id is public and stays."""
     node = state.nodes.get(node_id)
     if node is None:
         raise ConfigurationError(f"unknown node {node_id}")
@@ -384,27 +350,30 @@ def lookup_holder(state: SystemState, digest_hex: str) -> tuple[int, Share]:
 
 def request_repair(
     state: SystemState,
-    proposer: NodeIdentity,
+    proposer_hw_id: int | None,
     failed_id: int,
     withhold_acks: Iterable[int] = (),
-) -> tuple[Share, Share, RepairTrace]:
+) -> tuple[Share, Share, list[TraceEvent]]:
     """Run the full repair protocol for one failed participant.
 
-    The proposer (the failed node's replacement, same hardware id) asks its
-    group peers for authorization, broadcasts the group digest to find the
-    external sub-share, recovers the weak redundancy from gamma sub-shares,
-    interpolates the repairing polynomial from the surviving member points
-    plus the weak point, and computes the lost share value, which is
-    revealed to the proposer alone.  The failed node's own sub-share is
-    restored from the same gamma sub-shares.  The state is updated in place
-    and the full message trace returned.
+    The proposer, the failed node's replacement, is authorised only by
+    presenting the hardware id the registry holds for failed_id
+    (proposer_hw_id; an unknown or healthy failed_id is refused before
+    that).  It asks its group peers for authorization, broadcasts the
+    group digest to find the external sub-share, recovers the weak
+    redundancy from gamma sub-shares, interpolates the repairing
+    polynomial from the surviving member points plus the weak point, and
+    computes the lost share value, which is revealed to the proposer
+    alone.  The failed node's own sub-share is restored from the same
+    gamma sub-shares.  The state is updated in place and the message
+    trace returned, its events in send order.
     """
     node = state.nodes.get(failed_id)
     if node is None:
         raise ConfigurationError(f"unknown node {failed_id}")
     if not node.failed:
         raise ConfigurationError(f"node {failed_id} is healthy; nothing to repair")
-    if proposer.node_id != failed_id or proposer.hw_id != node.identity.hw_id:
+    if proposer_hw_id != state.hw_ids[failed_id - 1]:
         raise AuthorizationError(
             f"proposer identity does not match registered node {failed_id}"
         )
@@ -428,16 +397,19 @@ def request_repair(
         )
 
     failed_x = failed_id
-    trace = RepairTrace()
-    trace.add("request", failed_id, tuple(survivors), failed=failed_id, x=failed_x)
+    trace: list[TraceEvent] = []
+    def add(kind: str, sender: int, recipients: tuple[int, ...], **payload):
+        trace.append(TraceEvent(len(trace), kind, sender, recipients, payload))
+
+    add("request", failed_id, tuple(survivors), failed=failed_id, x=failed_x)
     for mid in survivors:
-        trace.add("ack", mid, (failed_id,), failed=failed_id)
+        add("ack", mid, (failed_id,), failed=failed_id)
 
     everyone_else = tuple(i for i in sorted(state.nodes) if i != failed_id)
     digest = state.digest(group_id)
-    trace.add("digest-broadcast", failed_id, everyone_else, digest=digest)
+    add("digest-broadcast", failed_id, everyone_else, digest=digest)
     holder_id, external_sub = lookup_holder(state, digest)
-    trace.add(
+    add(
         "holder-response",
         holder_id,
         (failed_id,),
@@ -447,7 +419,7 @@ def request_repair(
 
     for mid in survivors:
         peer = state.nodes[mid]
-        trace.add(
+        add(
             "contribution",
             mid,
             (failed_id,),
@@ -459,13 +431,7 @@ def request_repair(
 
     subshares = [state.nodes[mid].subshare for mid in survivors] + [external_sub]
     sub_secret = shamir.recover(state.field, subshares, gamma)
-    trace.add(
-        "interpolation",
-        failed_id,
-        (failed_id,),
-        points=gamma,
-        x_lambda=x_lambda,
-    )
+    add("interpolation", failed_id, (failed_id,), points=gamma, x_lambda=x_lambda)
     surviving_points = [state.nodes[mid].primary for mid in survivors]
     repaired_y = grouping.repair_share(
         state.field,
@@ -474,11 +440,11 @@ def request_repair(
         failed_x,
         gamma,
     )
-    trace.add("delivery", failed_id, (failed_id,), x=failed_x, y=repaired_y)
+    add("delivery", failed_id, (failed_id,), x=failed_x, y=repaired_y)
 
     failed_sss_x = block.index(failed_id) + 1
     restored_sub = grouping.restore_subshare(state.field, subshares, failed_sss_x, gamma)
-    trace.add("subshare-restore", failed_id, (failed_id,), sub_x=failed_sss_x)
+    add("subshare-restore", failed_id, (failed_id,), sub_x=failed_sss_x)
 
     repaired = Share(failed_x, repaired_y)
     node.primary = repaired
@@ -523,10 +489,11 @@ def _share_dict(share: Share | None) -> dict | None:
     return None if share is None else {"x": str(share.x), "y": str(share.y)}
 
 
-def node_store_dict(node: NodeStore) -> dict:
-    """The one statement of a node file's format."""
+def node_store_dict(node_id: int, node: NodeStore) -> dict:
+    """The one statement of a node file's format.  The file names its node,
+    so a node file copied under another node's name is refused on load."""
     return {
-        "id": node.identity.node_id,
+        "id": node_id,
         "y": None if node.primary is None else str(node.primary.y),
         "sss_subshare": _share_dict(node.subshare),
         "hosted": [
@@ -641,7 +608,8 @@ def save_state(
         for node_id in node_ids:
             path = os.path.join(node_dir, _node_name(node_id, width))
             tmp = path + ".tmp"
-            _write_file(tmp, tmp, _dump(node_store_dict(state.nodes[node_id])).encode())
+            data = _dump(node_store_dict(node_id, state.nodes[node_id])).encode()
+            _write_file(tmp, tmp, data)
             os.replace(tmp, path)
         return
     if len(state.nodes) != state.n:
@@ -662,7 +630,7 @@ def save_state(
                 os.unlink(f"{node_dir}/{name}")
         for node_id in sorted(state.nodes):
             name = _node_name(node_id, width)
-            data = _dump(node_store_dict(state.nodes[node_id])).encode()
+            data = _dump(node_store_dict(node_id, state.nodes[node_id])).encode()
             _write_file(name, f"{node_dir}/{name}", data, dir_fd)
     finally:
         os.close(dir_fd)
@@ -800,9 +768,8 @@ def load_state(
                         f"{path}: hosted {digest!r} names no group with redundancy"
                     )
                 hosted.append((digest, Share(gamma + 1, int(entry["subshare"]["y"]))))
-            identity = NodeIdentity(node_id, hw_ids[node_id - 1])
-            node = NodeStore(identity, primary, subshare, hosted)
-            _check_written(path, raw, node_store_dict(node))
+            node = NodeStore(primary, subshare, hosted)
+            _check_written(path, raw, node_store_dict(node_id, node))
             for share in (primary, subshare):
                 if share is not None and not 0 <= share.y < p:
                     raise DomainError(f"{path}: y={share.y} outside [0, {p})")

@@ -41,6 +41,9 @@ _GROUP_SIZE = 4  # the closed-form expressions below are for 4-member groups
 
 
 def _check_q(q: float):
+    # a bool is an int, so True would pass as 1.0
+    if isinstance(q, bool) or not isinstance(q, (int, float)):
+        raise ConfigurationError(f"compromise probability must be a number, got {q!r}")
     if not 0.0 <= q <= 1.0:
         raise ConfigurationError(f"compromise probability must be in [0, 1], got {q}")
 

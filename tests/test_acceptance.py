@@ -104,7 +104,7 @@ def test_c3_repair_exactness_all_single_failures():
         state = copy.deepcopy(pristine)
         mark_failed(state, failed_id)
         repaired, restored, _ = request_repair(
-            state, state.nodes[failed_id].identity, failed_id
+            state, state.hw_ids[failed_id - 1], failed_id
         )
         assert repaired == shadow_primary[failed_id]
         assert restored == shadow_subshare[failed_id]
@@ -195,7 +195,7 @@ def test_c7_protocol_confidentiality(tmp_path):
         repaired_y = state.nodes[failed_id].primary.y
         mark_failed(state, failed_id)
         _, _, trace = request_repair(
-            state, state.nodes[failed_id].identity, failed_id
+            state, state.hw_ids[failed_id - 1], failed_id
         )
         carrying = [e for e in trace if repaired_y in e.payload.values()]
         assert len(carrying) == 1
@@ -261,7 +261,7 @@ def test_c9_repair_cost_independent_of_system_size():
         for node_id in target_nodes[:repairs]:
             state = copy.deepcopy(base)
             mark_failed(state, node_id)
-            proposer = state.nodes[node_id].identity
+            proposer = state.hw_ids[node_id - 1]
             t0 = time.perf_counter()
             request_repair(state, proposer, node_id)
             timings.append(time.perf_counter() - t0)
@@ -301,7 +301,7 @@ def test_c9_repair_field_operations_independent_of_system_size(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(PrimeField, "interpolate_at", counted_interpolate_at)
             patch.setattr(PrimeField, "inv", counted_inv)
-            request_repair(state, state.nodes[5].identity, 5)
+            request_repair(state, state.hw_ids[4], 5)
         records[n] = sorted(record)
     expected = [("interpolate_at", 4, 1)] * 3 + [("inv",)] * 3
     assert records == {12: expected, 120: expected, 1024: expected}
@@ -360,6 +360,6 @@ def test_c9_group_digests_derived_only_where_used(tmp_path, monkeypatch):
         def load_and_repair():
             full = load_state(directory)
             mark_failed(full, plain)
-            request_repair(full, full.nodes[plain].identity, plain)
+            request_repair(full, full.hw_ids[plain - 1], plain)
 
         assert derivations(load_and_repair) == m + 1, n

@@ -1108,11 +1108,11 @@ class TestStateWrites:
         real = protocol.node_store_dict
         calls = []
 
-        def crash_midway(node):
-            calls.append(node)
+        def crash_midway(node_id, node):
+            calls.append(node_id)
             if len(calls) == 6:
                 raise OSError("disk gone")
-            return real(node)
+            return real(node_id, node)
 
         monkeypatch.setattr(protocol, "node_store_dict", crash_midway)
         flags = [*TOY_FLAGS[:-1], "8"]  # another seed, so every file would change

@@ -219,8 +219,7 @@ class TestSetup:
         assert all(v["own_role"] == 2 for v in accounting["per_node"].values())
 
     def test_hw_ids_unique(self, toy_system):
-        hw = [node.identity.hw_id for node in toy_system.nodes.values()]
-        assert len(set(hw)) == 12
+        assert len(set(toy_system.hw_ids)) == 12
 
     def test_x_lambda_avoids_member_xs_and_zero(self, toy_system):
         for g, x_lambda in enumerate(toy_system.x_lambda, 1):
@@ -454,7 +453,7 @@ class TestRepair:
             original = state.nodes[failed_id].primary
             original_sub = state.nodes[failed_id].subshare
             mark_failed(state, failed_id)
-            proposer = state.nodes[failed_id].identity
+            proposer = state.hw_ids[failed_id - 1]
             repaired, restored, _ = request_repair(state, proposer, failed_id)
             assert repaired == original
             assert restored == original_sub
@@ -472,7 +471,7 @@ class TestRepair:
         member is drawn among the group's members that host nothing."""
         k, n, m, placement, seed = shape
         state = system_setup(k, n, m, secret=seed, seed=seed, placement=placement)
-        before = {i: node_store_dict(node) for i, node in state.nodes.items()}
+        before = {i: node_store_dict(i, node) for i, node in state.nodes.items()}
         failed = []
         for g in range(1, m + 1):
             idle = [i for i in members(g, state.gamma) if not state.nodes[i].hosted]
@@ -482,8 +481,9 @@ class TestRepair:
         for node_id in failed:
             mark_failed(state, node_id)
         for node_id in failed:
-            request_repair(state, state.nodes[node_id].identity, node_id)
-        assert {i: node_store_dict(node) for i, node in state.nodes.items()} == before
+            request_repair(state, state.hw_ids[node_id - 1], node_id)
+        after = {i: node_store_dict(i, node) for i, node in state.nodes.items()}
+        assert after == before
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -509,28 +509,29 @@ class TestRepair:
         original, original_sub = node.primary, node.subshare
         mark_failed(state, node_id)
         assert node.primary is None and node.subshare is None
-        repaired, restored, _ = request_repair(state, node.identity, node_id)
+        hw_id = state.hw_ids[node_id - 1]
+        repaired, restored, _ = request_repair(state, hw_id, node_id)
         assert (repaired, restored) == (original, original_sub)
         assert (node.primary, node.subshare) == (original, original_sub)
         assert recover_secret(state, range(n - k + 1, n + 1)) == 42
 
     def test_trace_shape(self, toy_system):
         mark_failed(toy_system, 3)
-        _, _, trace = request_repair(toy_system, toy_system.nodes[3].identity, 3)
+        _, _, trace = request_repair(toy_system, toy_system.hw_ids[2], 3)
         kinds = [e.kind for e in trace]
         assert kinds == [
             "request", "ack", "ack", "ack", "digest-broadcast", "holder-response",
             "contribution", "contribution", "contribution", "interpolation",
             "delivery", "subshare-restore",
         ]
-        broadcast = trace.events[4]
+        broadcast = trace[4]
         assert set(broadcast.recipients) == set(range(1, 13)) - {3}
 
     def test_repaired_value_only_in_delivery_to_proposer(self, toy_system):
         state = toy_system
         repaired_y = state.nodes[5].primary.y
         mark_failed(state, 5)
-        _, _, trace = request_repair(state, state.nodes[5].identity, 5)
+        _, _, trace = request_repair(state, state.hw_ids[4], 5)
         carrying = [e for e in trace if repaired_y in e.payload.values()]
         assert len(carrying) == 1
         assert carrying[0].kind == "delivery"
@@ -538,7 +539,7 @@ class TestRepair:
 
     def test_subshares_travel_only_to_proposer(self, toy_system):
         mark_failed(toy_system, 9)
-        _, _, trace = request_repair(toy_system, toy_system.nodes[9].identity, 9)
+        _, _, trace = request_repair(toy_system, toy_system.hw_ids[8], 9)
         for event in trace:
             if "sub_y" in event.payload:
                 assert event.kind in ("holder-response", "contribution")
@@ -547,8 +548,8 @@ class TestRepair:
     def test_trace_lines_redact_y_values(self, toy_system):
         survivors_y = [toy_system.nodes[i].primary.y for i in (1, 2, 4)]
         mark_failed(toy_system, 3)
-        _, _, trace = request_repair(toy_system, toy_system.nodes[3].identity, 3)
-        for line in trace.lines():
+        _, _, trace = request_repair(toy_system, toy_system.hw_ids[2], 3)
+        for line in [e.line() for e in trace]:
             if "| delivery |" in line:
                 continue
             for y in survivors_y:
@@ -559,60 +560,54 @@ class TestRepair:
         for _ in range(2):
             state = system_setup(**TOY)
             mark_failed(state, 7)
-            _, _, trace = request_repair(state, state.nodes[7].identity, 7)
-            traces.append(trace.lines())
+            _, _, trace = request_repair(state, state.hw_ids[6], 7)
+            traces.append([e.line() for e in trace])
         assert traces[0] == traces[1]
 
     def test_second_group_failure_rejected(self, toy_system):
         mark_failed(toy_system, 1)
         mark_failed(toy_system, 2)
         with pytest.raises(InsufficientPointsError):
-            request_repair(toy_system, toy_system.nodes[1].identity, 1)
+            request_repair(toy_system, toy_system.hw_ids[0], 1)
 
     def test_failures_in_distinct_groups_are_fine(self, toy_system):
         mark_failed(toy_system, 1)
         mark_failed(toy_system, 5)
-        repaired, _, _ = request_repair(toy_system, toy_system.nodes[1].identity, 1)
+        repaired, _, _ = request_repair(toy_system, toy_system.hw_ids[0], 1)
         assert repaired.x == 1
 
     def test_wrong_hw_id_rejected(self, toy_system):
         mark_failed(toy_system, 3)
-        impostor = protocol.NodeIdentity(3, toy_system.nodes[4].identity.hw_id)
         with pytest.raises(AuthorizationError):
-            request_repair(toy_system, impostor, 3)
-
-    def test_wrong_node_id_rejected(self, toy_system):
-        mark_failed(toy_system, 3)
-        with pytest.raises(AuthorizationError):
-            request_repair(toy_system, toy_system.nodes[4].identity, 3)
+            request_repair(toy_system, toy_system.hw_ids[4 - 1], 3)
 
     def test_withheld_ack_rejected(self, toy_system):
         mark_failed(toy_system, 3)
         with pytest.raises(AuthorizationError):
             request_repair(
-                toy_system, toy_system.nodes[3].identity, 3, withhold_acks=[2]
+                toy_system, toy_system.hw_ids[2], 3, withhold_acks=[2]
             )
 
     def test_healthy_node_rejected(self, toy_system):
         with pytest.raises(ConfigurationError):
-            request_repair(toy_system, toy_system.nodes[3].identity, 3)
+            request_repair(toy_system, toy_system.hw_ids[2], 3)
 
     def test_bare_system_cannot_repair(self, bare_system):
         mark_failed(bare_system, 3)
         with pytest.raises(ConfigurationError):
-            request_repair(bare_system, bare_system.nodes[3].identity, 3)
+            request_repair(bare_system, bare_system.hw_ids[2], 3)
 
     def test_lost_holder_surfaces_during_repair(self, toy_system):
         holder = holder_of(toy_system, 1)
         mark_failed(toy_system, holder)
         mark_failed(toy_system, 1)
         with pytest.raises(HolderLostError):
-            request_repair(toy_system, toy_system.nodes[1].identity, 1)
+            request_repair(toy_system, toy_system.hw_ids[0], 1)
 
     def test_fail_repair_fail_cycle(self, toy_system):
         for _ in range(2):
             mark_failed(toy_system, 6)
-            request_repair(toy_system, toy_system.nodes[6].identity, 6)
+            request_repair(toy_system, toy_system.hw_ids[5], 6)
         assert recover_secret(toy_system, range(1, 9)) == 42
 
 
@@ -634,7 +629,7 @@ class TestRecoverSecret:
     def test_after_one_repair_per_group(self, toy_system):
         for failed_id in (1, 5, 9):
             mark_failed(toy_system, failed_id)
-            request_repair(toy_system, toy_system.nodes[failed_id].identity, failed_id)
+            request_repair(toy_system, toy_system.hw_ids[failed_id - 1], failed_id)
         for start in range(1, 5):
             subset = [(start + i - 1) % 12 + 1 for i in range(8)]
             assert recover_secret(toy_system, subset) == 42
@@ -710,7 +705,7 @@ class TestPersistence:
             assert registry_dict(loaded) == registry
             for node_id, node in loaded.nodes.items():
                 name = f"node_{node_id:0{len(str(n))}d}.json"
-                assert node_store_dict(node) == json.loads(
+                assert node_store_dict(node_id, node) == json.loads(
                     (directory / "nodes" / name).read_text()
                 )
 
@@ -727,7 +722,9 @@ class TestPersistence:
         assert registry_dict(loaded) == registry_dict(state)
         assert loaded.nodes.keys() == state.nodes.keys()
         for node_id, node in state.nodes.items():
-            assert node_store_dict(loaded.nodes[node_id]) == node_store_dict(node)
+            assert node_store_dict(node_id, loaded.nodes[node_id]) == node_store_dict(
+                node_id, node
+            )
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(system_shapes(max_n=48), st.booleans(), st.data())
@@ -743,8 +740,8 @@ class TestPersistence:
             partial = load_state(directory, ids)
         assert partial.nodes.keys() == ids
         for node_id in ids:
-            assert node_store_dict(partial.nodes[node_id]) == node_store_dict(
-                full.nodes[node_id]
+            assert node_store_dict(node_id, partial.nodes[node_id]) == node_store_dict(
+                node_id, full.nodes[node_id]
             )
         for name in ("k", "n", "m", "placement_mode", "hw_ids", "x_lambda"):
             assert getattr(partial, name) == getattr(full, name), name
@@ -777,7 +774,7 @@ class TestPersistence:
         if fail_one:
             mark_failed(state, seed % n + 1)
         files = [registry_dict(state)]
-        files += [node_store_dict(node) for node in state.nodes.values()]
+        files += [node_store_dict(i, node) for i, node in state.nodes.items()]
         strings = set()
         for raw in files:
             for where, leaf in json_leaves(raw):
@@ -832,7 +829,7 @@ class TestPersistence:
 
     def test_repaired_state_persists(self, toy_system, tmp_path):
         mark_failed(toy_system, 8)
-        request_repair(toy_system, toy_system.nodes[8].identity, 8)
+        request_repair(toy_system, toy_system.hw_ids[7], 8)
         save_state(toy_system, tmp_path)
         loaded = load_state(tmp_path)
         assert loaded.nodes[8].primary == toy_system.nodes[8].primary
@@ -882,10 +879,10 @@ class TestDescriptors:
     def test_save_failing_midway(self, toy_system, tmp_path, monkeypatch):
         real = protocol.node_store_dict
 
-        def crash_on_six(node):
-            if node.identity.node_id == 6:
+        def crash_on_six(node_id, node):
+            if node_id == 6:
                 raise OSError("disk gone")
-            return real(node)
+            return real(node_id, node)
 
         monkeypatch.setattr(protocol, "node_store_dict", crash_on_six)
         before = open_fds()

@@ -316,6 +316,15 @@ class TestMonteCarlo:
         with pytest.raises(ConfigurationError, match="must be ints"):
             CompromiseModel(q=0.5, trials=trials, seed=seed)
 
+    @pytest.mark.parametrize("q", ["0.5", None, True], ids=["str", "none", "bool"])
+    def test_non_number_q_refused(self, q):
+        with pytest.raises(ConfigurationError, match="must be a number"):
+            CompromiseModel(q=q, trials=10, seed=1)
+        with pytest.raises(ConfigurationError, match="must be a number"):
+            p1_exact(q)
+        with pytest.raises(ConfigurationError, match="must be a number"):
+            p2_exact(q)
+
 
 class TestClosure:
     def test_empty_set_knows_nothing(self, toy_system):
