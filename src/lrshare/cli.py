@@ -188,11 +188,13 @@ def _attack_mc(args) -> int:
 
 
 def _attack_enum(args) -> int:
-    state = protocol.load_state(_state_dir(args))
     if args.anti_reciprocal:
+        # the sweep's closed form reads the registry alone
+        state = protocol.load_state(_state_dir(args), [])
         result = threat.min_compromise_over_placements(state, anti_reciprocal=True)
         mode = "anti-reciprocal"
     else:
+        state = protocol.load_state(_state_dir(args))
         result = threat.min_compromise_search(state)
         mode = state.placement_mode
     size, witness_list = result.size, sorted(result.witness)

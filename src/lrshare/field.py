@@ -104,12 +104,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.modulus})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.modulus == self.modulus
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.modulus))
-
     # -- element arithmetic -------------------------------------------------
 
     def inv(self, a: int) -> int:

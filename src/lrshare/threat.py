@@ -8,10 +8,11 @@ Three layers:
 * the attacker-knowledge closure: everything derivable from a compromised
   server set plus the public registry, iterating sub-secret recovery and
   repairing-polynomial interpolation to a fixpoint;
-* the exact smallest compromised set that recovers the global secret,
-  found by a search over sets of groups (not of nodes) under the state's
-  placement, or under the canonical one that reaches the closed-form minimum
-  over all admissible placements; refused above ENUMERATION_GROUP_LIMIT groups.
+* the exact smallest compromised set that recovers the global secret:
+  under the state's placement by a search over sets of groups (not of
+  nodes), refused above ENUMERATION_GROUP_LIMIT groups; over all admissible
+  placements by a closed form in k, n and m, with a canonical placement and
+  a witness built from the same formula.
 
 The attacker model is conservative: the full public registry (every x,
 every group's weak-redundancy abscissa, and every digest derived from its
@@ -222,32 +223,6 @@ class CompromiseResult:
     holders: dict[int, int]
 
 
-def _holders(state: SystemState) -> dict[int, int]:
-    """The state's holder map, for a healthy system of at most
-    ENUMERATION_GROUP_LIMIT groups with at most one hosted sub-share each."""
-    failed = [i for i, node in state.nodes.items() if node.failed]
-    if failed:
-        raise ConfigurationError(
-            f"threat enumeration needs a healthy system; failed: {failed}"
-        )
-    digest_to_group = state.group_digests()
-    holders: dict[int, int] = {}
-    for node_id, node in state.nodes.items():
-        for digest, _ in node.hosted:
-            group_id = digest_to_group[digest]
-            if group_id in holders:
-                raise ConfigurationError(
-                    f"group {group_id} has multiple hosted sub-shares"
-                )
-            holders[group_id] = node_id
-    if state.m > ENUMERATION_GROUP_LIMIT:
-        raise EnumerationLimitError(
-            f"compromise search refused for {state.m} groups "
-            f"(limit {ENUMERATION_GROUP_LIMIT})"
-        )
-    return holders
-
-
 def _min_under(state: SystemState, holders: dict[int, int]) -> CompromiseResult:
     """Exact minimum over the sets T of "bonus" groups.
 
@@ -294,10 +269,37 @@ def _min_under(state: SystemState, holders: dict[int, int]) -> CompromiseResult:
 def min_compromise_search(state: SystemState) -> CompromiseResult:
     """Smallest compromised set that recovers the secret, with a witness.
 
-    Exact, and exhaustive over sets of groups rather than of nodes;
-    refused above ENUMERATION_GROUP_LIMIT groups.
+    Exact, and exhaustive over sets of groups rather than of nodes, under
+    the holders the node stores give; so it needs every store of a healthy
+    system with at most one hosted sub-share per group, and is refused
+    above ENUMERATION_GROUP_LIMIT groups.
     """
-    return _min_under(state, _holders(state))
+    if len(state.nodes) != state.n:
+        raise ConfigurationError(
+            f"compromise search needs all {state.n} node stores, "
+            f"the state holds {len(state.nodes)}"
+        )
+    failed = [i for i, node in state.nodes.items() if node.failed]
+    if failed:
+        raise ConfigurationError(
+            f"threat enumeration needs a healthy system; failed: {failed}"
+        )
+    digest_to_group = state.group_digests()
+    holders: dict[int, int] = {}
+    for node_id, node in state.nodes.items():
+        for digest, _ in node.hosted:
+            group_id = digest_to_group[digest]
+            if group_id in holders:
+                raise ConfigurationError(
+                    f"group {group_id} has multiple hosted sub-shares"
+                )
+            holders[group_id] = node_id
+    if state.m > ENUMERATION_GROUP_LIMIT:
+        raise EnumerationLimitError(
+            f"compromise search refused for {state.m} groups "
+            f"(limit {ENUMERATION_GROUP_LIMIT})"
+        )
+    return _min_under(state, holders)
 
 
 def admissible_placements(
@@ -337,21 +339,27 @@ def min_compromise_over_placements(
     t <= m of max((gamma-1)*t + out(t), k - t), out(t) = 1 for 0 < t < c,
     else 0.  One canonical placement reaches it at the least such t: each
     group's sub-share on the first member of the next group round all m,
-    except that group t points back to group 1 when t >= c.  The exact
-    search under that placement gives the witness.
+    except that group t points back to group 1 when t >= c.  The witness
+    is the first gamma-1 members of groups 1..t, then the lowest ids after
+    group t up to the size; when 0 < t < c the first of those is group t's
+    holder.  Only k, n, m and x_lambda are read, so a registry-only
+    load_state serves, whatever the node stores hold.
     """
     if None in state.x_lambda:
         raise ConfigurationError(
             "placement sweep needs a system with repair redundancy"
         )
-    _holders(state)  # the same state checks as min_compromise_search
     gamma, k, m = state.gamma, state.k, state.m
     c = 3 if anti_reciprocal else 2
     if m < c:
         raise ConfigurationError("no admissible placement to sweep")
-    best = min(range(m + 1), key=lambda t: max((gamma - 1) * t + (0 < t < c), k - t))
+    size, best = min(
+        (max((gamma - 1) * t + (0 < t < c), k - t), t) for t in range(m + 1)
+    )
     holders = {}
     for g in range(1, m + 1):
         host = 1 if g == best >= c else g % m + 1
         holders[g] = members(host, gamma)[0]
-    return _min_under(state, holders)
+    witness = {i for g in range(1, best + 1) for i in members(g, gamma)[: gamma - 1]}
+    witness.update(range(best * gamma + 1, best * gamma + 1 + size - len(witness)))
+    return CompromiseResult(size=size, witness=frozenset(witness), holders=holders)

@@ -1267,6 +1267,22 @@ class TestAttack:
         assert record["min_compromise_size"] == 127
         assert len(record["witness_subset"]) == 127
 
+    @pytest.mark.parametrize("damage", ["failed", "truncated"])
+    def test_sweep_reads_only_the_registry(self, state_dir, capsys, damage):
+        # the plain search reads every node store, so it still refuses both
+        if damage == "failed":
+            assert run(capsys, "fail", "--node", "3", state_dir=state_dir)[0] == 0
+        else:
+            (state_dir / "nodes" / "node_12.json").write_text('{"id": 12, "y": ')
+        code, out, err = run(
+            capsys, "attack", "--mode", "enum", "--anti-reciprocal",
+            state_dir=state_dir,
+        )
+        assert (code, err) == (0, "")
+        assert out == "placement=anti-reciprocal min_compromise_size=7 witness=1,2,3,5,6,7,8\n"
+        code, _, _ = run(capsys, "attack", "--mode", "enum", state_dir=state_dir)
+        assert code == (2 if damage == "failed" else 3)
+
     def test_enum_bare_threshold(self, tmp_path, capsys):
         directory = tmp_path / "bare"
         run(capsys, "setup", *TOY_FLAGS, "--placement", "none", state_dir=directory)
@@ -1281,6 +1297,18 @@ class TestAttack:
         code, _, err = run(capsys, "attack", "--mode", "enum", state_dir=directory)
         assert code == 2
         assert "enumeration-limit" in err
+
+    def test_sweep_answers_above_the_search_limit(self, tmp_path, capsys):
+        directory = tmp_path / "big"
+        run(capsys, "setup", "--k", "8", "--n", "34", "--m", "17",
+            "--secret", "1", "--seed", "1", state_dir=directory)
+        code, out, _ = run(
+            capsys, "--format", "json", "attack", "--mode", "enum",
+            "--anti-reciprocal", state_dir=directory,
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["min_compromise_size"] == len(record["witness_subset"]) == 4
 
     def test_enum_on_twenty_nodes(self, tmp_path, capsys):
         directory = tmp_path / "wide"

@@ -1,5 +1,6 @@
 """Compromise probabilities, attacker closure, minimum-compromise search."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -470,9 +471,50 @@ class TestMinCompromise:
             assert ref.recovers(result.witness, result.holders)
             assert not ref.recovers(sorted(result.witness)[1:], result.holders)
 
+    @pytest.mark.parametrize("anti_reciprocal", [True, False])
+    def test_sweep_answers_seventeen_groups(self, anti_reciprocal):
+        """Above the search's group limit, the exact search under the
+        sweep's own placement agrees: size, witness and holders."""
+        state = protocol.system_setup(8, 34, 17, secret=1, seed=1)
+        result = min_compromise_over_placements(state, anti_reciprocal)
+        assert result == _min_under(state, result.holders)
+
+    def test_sweep_answers_churn_narrow(self):
+        """(128, 1024, 256): an admissible placement whose witness of 96
+        recovers, and stops recovering without any one of its nodes."""
+        state = protocol.system_setup(128, 1024, 256, secret=1, seed=1)
+        result = min_compromise_over_placements(state, anti_reciprocal=True)
+        assert result.size == len(result.witness) == 96
+        gamma, holders = state.gamma, result.holders
+        assert sorted(holders) == list(range(1, 257))
+        for g, holder in holders.items():
+            host = group_of(holder, gamma)
+            assert host != g
+            assert holders[host] not in members(g, gamma)
+        ref = ReferenceCounter(state)
+        assert ref.recovers(result.witness, holders)
+        for node_id in result.witness:
+            assert not ref.recovers(result.witness - {node_id}, holders)
+
+    def test_sweep_reads_no_node_store(self, toy_system):
+        bare = dataclasses.replace(toy_system, nodes={})
+        for anti_reciprocal in (True, False):
+            assert min_compromise_over_placements(
+                bare, anti_reciprocal
+            ) == min_compromise_over_placements(toy_system, anti_reciprocal)
+
     def test_sweep_needs_redundancy(self, bare_system):
         with pytest.raises(ConfigurationError):
             min_compromise_over_placements(bare_system)
+
+    def test_search_refuses_a_partial_state(self, tmp_path, reciprocal_system):
+        """Without the stores of nodes 4, 5 and 7 the holder map lacks
+        groups, and the search would answer 8 for this state's 6."""
+        protocol.save_state(reciprocal_system, tmp_path)
+        partial = protocol.load_state(tmp_path, [1, 2, 3, 6, 8, 9, 10, 11, 12])
+        with pytest.raises(ConfigurationError, match="all 12 node stores"):
+            min_compromise_search(partial)
+        assert min_compromise_search(protocol.load_state(tmp_path)).size == 6
 
     def test_analyzer_requires_healthy_system(self, toy_system):
         protocol.mark_failed(toy_system, 1)
@@ -519,6 +561,7 @@ class TestGroupSolverExactness:
             assert result.holders in placements
             assert len(result.witness) == result.size
             assert ReferenceCounter(state).recovers(result.witness, result.holders)
+            assert result == _min_under(state, result.holders), (k, n, m)
 
     @pytest.mark.parametrize("placement", protocol.PLACEMENT_MODES)
     def test_sixteen_node_states(self, placement):
