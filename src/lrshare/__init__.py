@@ -24,7 +24,6 @@ from .errors import (
 )
 from .field import DEFAULT_MODULUS, PrimeField, is_probable_prime
 from .groups import (
-    build_repair_function,
     make_weak_redundancy,
     members,
     partition,
@@ -44,7 +43,7 @@ from .protocol import (
     save_state,
     system_setup,
 )
-from .shamir import Share, recover, reconstruct_polynomial, split
+from .shamir import Share, recover, split
 from .threat import (
     AttackerKnowledge,
     CompromiseModel,

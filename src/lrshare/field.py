@@ -1,9 +1,10 @@
-"""Prime-field arithmetic and polynomial helpers.
+"""Prime-field arithmetic and the one interpolation kernel.
 
 Everything in this package works over GF(p) for a public prime modulus p.
-Field elements are plain ints in [0, p).  Polynomials are coefficient lists
-with the constant term first and trailing zeros trimmed, so list equality is
-polynomial equality; the canonical zero polynomial is [0].
+Field elements are plain ints in [0, p).  Commands evaluate polynomials from
+points with PrimeField.interpolate_at.  The coefficient-list helpers, the
+tests' reference, keep the constant term first and trailing zeros trimmed,
+so list equality is polynomial equality; the zero polynomial is [0].
 
 Only prime fields are supported.  The default production modulus is the
 Mersenne prime 2^31 - 1, so products of two elements fit comfortably in
@@ -78,7 +79,7 @@ def is_probable_prime(n: int) -> bool:
 
 
 def trim_poly(coeffs: list[int]) -> list[int]:
-    """Drop trailing zero coefficients; the zero polynomial stays [0]."""
+    """Drop trailing zero coefficients ([0] stays); reference only."""
     end = len(coeffs)
     while end > 1 and coeffs[end - 1] == 0:
         end -= 1
@@ -116,7 +117,7 @@ class PrimeField:
     # -- polynomials ---------------------------------------------------------
 
     def poly_eval(self, coeffs: list[int], x: int) -> int:
-        """Evaluate a coefficient list (constant first) at x, Horner order."""
+        """Evaluate a coefficient list at x in Horner order; reference only."""
         x %= self.modulus
         acc = 0
         for c in reversed(coeffs):
@@ -169,7 +170,7 @@ class PrimeField:
         M(x) / (x - x_i), found by synthetic division, scaled by y_i times
         its barycentric weight.  The divisions run for all points at once,
         one coefficient at a time from the top.  Returns the trimmed
-        coefficient list.
+        coefficient list.  The tests' reference; no command calls it.
 
         Raises DomainError for an empty point list or duplicate x values.
         """
@@ -230,7 +231,8 @@ class PrimeField:
         free slots are parameterized by uniformly drawn values at auxiliary
         abscissas, which is a bijection onto the set of polynomials through
         the constraints.  Fully constrained inputs never touch the rng, so
-        the result is then deterministic regardless of seed.
+        the result is then deterministic regardless of seed.  The tests'
+        reference for shamir.split, which draws the same values.
 
         Raises DomainError for a negative degree, duplicate constraint x
         values, or more constraints than degree+1 allows.

@@ -7,10 +7,9 @@ polynomial is the unique degree-(gamma-1) polynomial through its gamma
 member share points; it exists only to repair shares and is a random object
 with respect to the global secret.  Two redundancy flavors exist:
 
-* strong redundancy: the polynomial's coefficient list that
-  build_repair_function returns, which alone determines every member share
-  (built during setup only to draw the weak point; never placed anywhere,
-  since it is as significant as all gamma shares);
+* strong redundancy: the polynomial's coefficient list, which alone
+  determines every member share; no command builds it (build_repair_function
+  stays only as the tests' reference), let alone places it anywhere;
 * weak redundancy: one extra point on the polynomial at a fresh public
   abscissa, a Share worth exactly one share.
 
@@ -21,9 +20,8 @@ layer.  Repairing one lost member share takes the gamma-1 surviving member
 points plus the weak-redundancy point, so repair never leaves the group
 except for that single external sub-share.
 
-Only setup builds a coefficient list (build_repair_function, for the weak
-point's value).  Repair and sub-share restore need one value each, which
-PrimeField.interpolate_at computes straight from the points.
+Setup, repair and sub-share restore each need values at a few points,
+which PrimeField.interpolate_at computes straight from the known points.
 """
 
 from __future__ import annotations
@@ -67,31 +65,31 @@ def group_of(node_id: int, gamma: int) -> int:
 
 def build_repair_function(field: PrimeField, member_shares: list[Share]) -> list[int]:
     """The group's repairing polynomial (constant term first): its strong
-    redundancy, interpolated from the member points."""
+    redundancy, interpolated from the member points.  No command calls it;
+    it is the tests' reference for make_weak_redundancy."""
     return field.poly_interpolate([(s.x, s.y) for s in member_shares])
 
 
 def make_weak_redundancy(
-    field: PrimeField,
-    repair_function: list[int],
-    excluded_x: set[int],
-    rng: random.Random,
+    field: PrimeField, member_shares: list[Share], rng: random.Random
 ) -> Share:
-    """Draw the weak redundancy: a fresh point on the repairing polynomial,
-    returned as a Share whose y is the group sub-secret.
+    """Draw the weak redundancy: a fresh point on the repairing polynomial
+    through the member shares, returned as a Share whose y is the group
+    sub-secret.
 
-    The abscissa is uniform over the field minus zero and the excluded set
-    (the group's own member x values; uniqueness is per group).  The value
-    is just the polynomial evaluated there.
+    The abscissa is uniform over the field minus zero and the members' own
+    x values (uniqueness is per group).  The value there comes from
+    PrimeField.interpolate_at over the member points.
     """
-    forbidden = {0} | {x % field.modulus for x in excluded_x}
+    points = [(s.x, s.y) for s in member_shares]
+    forbidden = {0} | {x % field.modulus for x, _ in points}
     if len(forbidden) >= field.modulus:
         raise DomainError("no admissible x left for the weak redundancy")
     while True:
         x = rng.randrange(field.modulus)
         if x not in forbidden:
             break
-    return Share(x, field.poly_eval(repair_function, x))
+    return Share(x, field.interpolate_at(points, [x])[0])
 
 
 def setup_sss(

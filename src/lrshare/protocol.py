@@ -246,11 +246,11 @@ def system_setup(
 ) -> SystemState:
     """Build a complete system: global split, per-group redundancy, placement.
 
-    Per group the repairing polynomial is interpolated from the member
-    shares, one fresh point on it is drawn as the weak redundancy, the
-    point's value is second-shared (gamma, gamma+1), the member sub-shares
-    are handed out, and the external one is placed per the placement mode.
-    The polynomial itself and its coefficient list are then discarded.
+    Per group one fresh point on the repairing polynomial is drawn as the
+    weak redundancy and evaluated from the member shares; its value is
+    second-shared (gamma, gamma+1), the member sub-shares are handed out,
+    and the external one is placed per the placement mode.  No coefficient
+    list is built, so the strong redundancy never exists.
 
     placement='none' skips all redundancy (bare threshold fixture);
     'reciprocal' forces groups 1 and 2 to host each other's sub-share, the
@@ -295,12 +295,8 @@ def system_setup(
     if placement != PLACEMENT_NONE:
         for g, block in enumerate(blocks, 1):
             member_shares = [shares[mid - 1] for mid in block]
-            repair_fn = grouping.build_repair_function(field, member_shares)
             weak = grouping.make_weak_redundancy(
-                field,
-                repair_fn,
-                {s.x for s in member_shares},
-                derive_rng(seed, f"lambda:{g}"),
+                field, member_shares, derive_rng(seed, f"lambda:{g}")
             )
             sss = grouping.setup_sss(field, weak.y, gamma, derive_rng(seed, f"sss:{g}"))
             for idx, member in enumerate(block):
@@ -675,7 +671,8 @@ def load_state(
     full save refuses it.  A file left unread is left unchecked, so repair
     and the threat analysis, which need every node's hosted list, load in
     full.  Node files are opened under one descriptor of the nodes
-    directory (POSIX dir_fd).
+    directory (POSIX dir_fd); a registry-only load (node_ids empty) opens
+    neither, so it needs no nodes directory.
 
     The state holds the registry's values as read; every x and the group
     layout follow from position, and nothing else is read for them.  The
@@ -743,7 +740,8 @@ def load_state(
         hosts = None  # the digests a node may host, derived on first use
         node_dir = os.path.join(root, NODE_DIR)
         width = len(str(n))
-        dir_fd = os.open(node_dir, os.O_RDONLY | os.O_DIRECTORY)
+        if wanted:
+            dir_fd = os.open(node_dir, os.O_RDONLY | os.O_DIRECTORY)
         for node_id in wanted:
             name = _node_name(node_id, width)
             path = f"{node_dir}/{name}"

@@ -3,7 +3,8 @@
 Used twice by the wider system: once for the global secret, and once per
 group as the second sharing that distributes the group's sub-secret.  The
 secret is a single field element; a share is a public nonzero x paired
-with a private y on a random degree-(k-1) polynomial f with f(0) = secret.
+with a private y on a random degree-(k-1) polynomial f with f(0) = secret;
+split and recover hold f only as points, never as coefficients.
 """
 
 from __future__ import annotations
@@ -40,16 +41,17 @@ def split(
 ) -> list[Share]:
     """Split a secret into n shares with threshold k, at x = 1..n.
 
-    A random degree-(k-1) polynomial f with f(0) = secret is drawn from the
-    given rng (deterministic per seed); share i is (i, f(i)).
+    f has degree k-1 and f(0) = secret; its values f(1..k-1) are drawn
+    uniformly from the given rng (deterministic per seed), and f(k..n) are
+    evaluated from those k points by interpolate_at.  Share i is (i, f(i)).
     """
     if not 1 <= k <= n:
         raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
     if n >= field.modulus:
         raise ConfigurationError(f"n={n} shares need n < p={field.modulus}")
-    secret %= field.modulus
-    poly = field.poly_random(k - 1, [(0, secret)], rng)
-    return [Share(x, field.poly_eval(poly, x)) for x in range(1, n + 1)]
+    drawn = [rng.randrange(field.modulus) for _ in range(1, k)]
+    ys = field.interpolate_at([(0, secret), *enumerate(drawn, 1)], range(k, n + 1))
+    return [Share(x, y) for x, y in enumerate(drawn + ys, 1)]
 
 
 def _checked_sorted(shares: list[Share]) -> list[Share]:
@@ -88,7 +90,8 @@ def recover(field: PrimeField, shares: list[Share], k: int) -> int:
 
 
 def reconstruct_polynomial(field: PrimeField, shares: list[Share], k: int) -> list[int]:
-    """The unique degree-<=(k-1) polynomial through the first k shares (x order)."""
+    """The unique degree-<=(k-1) polynomial through the first k shares (x order).
+    The tests' reference for recover; no command calls it."""
     if len(shares) < k:
         raise InsufficientSharesError(
             f"need at least {k} shares, got {len(shares)}"

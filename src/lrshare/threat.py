@@ -134,7 +134,6 @@ class AttackerKnowledge:
     the weak-redundancy values recovered from them.
     """
 
-    compromised: frozenset[int]
     known_primary: dict[int, int]
     known_subshares: dict[int, frozenset[Share]]
     derived_subsecrets: dict[int, int]
@@ -202,7 +201,6 @@ def attacker_closure(state: SystemState, compromised) -> AttackerKnowledge:
                 changed = True
 
     return AttackerKnowledge(
-        compromised=comp,
         known_primary=known_primary,
         known_subshares={g: frozenset(s) for g, s in known_subshares.items()},
         derived_subsecrets=derived,

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrshare import protocol
+from lrshare import groups, protocol, shamir
 from lrshare.cli import main
-from lrshare.field import DEFAULT_MODULUS as P
+from lrshare.field import DEFAULT_MODULUS as P, PrimeField
 from tests.test_threat import ReferenceCounter, state_holders
 
 TOY_FLAGS = ["--k", "8", "--n", "12", "--m", "3", "--secret", "42", "--seed", "7"]
@@ -1283,6 +1284,18 @@ class TestAttack:
         code, _, _ = run(capsys, "attack", "--mode", "enum", state_dir=state_dir)
         assert code == (2 if damage == "failed" else 3)
 
+    def test_sweep_needs_no_nodes_directory(self, state_dir, capsys):
+        (state_dir / "nodes").rename(state_dir / "away")
+        code, out, err = run(
+            capsys, "attack", "--mode", "enum", "--anti-reciprocal",
+            state_dir=state_dir,
+        )
+        assert (code, err) == (0, "")
+        assert out == "placement=anti-reciprocal min_compromise_size=7 witness=1,2,3,5,6,7,8\n"
+        code, _, err = run(capsys, "attack", "--mode", "enum", state_dir=state_dir)
+        assert code == 3
+        assert "nodes" in err
+
     def test_enum_bare_threshold(self, tmp_path, capsys):
         directory = tmp_path / "bare"
         run(capsys, "setup", *TOY_FLAGS, "--placement", "none", state_dir=directory)
@@ -1326,3 +1339,47 @@ class TestAttack:
         assert record["min_compromise_size"] == ref.min_size(holders)
         assert len(record["witness_subset"]) == record["min_compromise_size"]
         assert ref.recovers(record["witness_subset"], holders)
+
+
+# The coefficient-list helpers; each command works from points alone.
+COEFFICIENT_HELPERS = [
+    (PrimeField, "poly_interpolate"),
+    (PrimeField, "poly_eval"),
+    (PrimeField, "poly_random"),
+    (groups, "build_repair_function"),
+    (shamir, "reconstruct_polynomial"),
+    (groups, "reconstruct_polynomial"),
+]
+
+
+def run_every_command(capsys, directory, placement):
+    """(exit code, stdout, stderr) of each command on a fresh TOY state."""
+    shutil.rmtree(directory, ignore_errors=True)
+    commands = [["setup", *TOY_FLAGS, "--placement", placement]]
+    if placement != "none":  # a bare threshold state neither repairs nor sweeps
+        commands += [
+            ["fail", "--node", "6"],
+            ["repair", "--node", "6"],
+            ["attack", "--mode", "enum", "--anti-reciprocal"],
+        ]
+    commands += [
+        ["recover", "--participants", *map(str, range(1, 13))],  # 4 surplus
+        ["attack", "--mode", "enum"],
+        ["attack", "--mode", "mc", "--q", "0.3", "--trials", "1000", "--seed", "9"],
+        ["attack", "--mode", "analytic", "--q", "0.3", "0.5"],
+    ]
+    return [run(capsys, *argv, state_dir=directory) for argv in commands]
+
+
+@pytest.mark.parametrize("placement", protocol.PLACEMENT_MODES)
+def test_no_command_builds_a_coefficient_list(tmp_path, capsys, monkeypatch, placement):
+    directory = tmp_path / "state"  # setup prints it, so both runs share it
+    expected = run_every_command(capsys, directory, placement)
+    assert [code for code, _, _ in expected] == [0] * len(expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command built a coefficient list")
+
+    for owner, name in COEFFICIENT_HELPERS:
+        monkeypatch.setattr(owner, name, refuse)
+    assert run_every_command(capsys, directory, placement) == expected

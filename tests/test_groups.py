@@ -5,8 +5,11 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrshare.errors import ConfigurationError, DomainError, InsufficientPointsError
+from lrshare.field import PrimeField, is_probable_prime
 from lrshare.groups import (
     build_repair_function,
     group_of,
@@ -17,7 +20,7 @@ from lrshare.groups import (
     restore_subshare,
     setup_sss,
 )
-from lrshare.shamir import Share, recover
+from lrshare.shamir import Share, recover, split
 
 # random.Random(2) draws x=5 first for GF(13) with {0,1,2,3,4} excluded
 FIXTURE_SEED_XLAMBDA = 2
@@ -90,26 +93,62 @@ class TestRepairFunction:
 class TestWeakRedundancy:
     def test_seeded_fixture(self, gf13):
         weak = make_weak_redundancy(
-            gf13, CUBIC, {1, 2, 3, 4}, random.Random(FIXTURE_SEED_XLAMBDA)
+            gf13, CUBIC_POINTS, random.Random(FIXTURE_SEED_XLAMBDA)
         )
         # 1 + 2*5 + 3*25 + 4*125 = 586 = 45*13 + 1
         assert (weak.x, weak.y) == (5, 1)
 
     def test_point_lies_on_polynomial(self, gf13, rng):
         for _ in range(200):
-            weak = make_weak_redundancy(gf13, CUBIC, {1, 2, 3, 4}, rng)
+            weak = make_weak_redundancy(gf13, CUBIC_POINTS, rng)
             assert gf13.poly_eval(CUBIC, weak.x) == weak.y
 
     def test_never_collides_with_excluded(self, gf13):
         excluded = {1, 2, 3, 4}
         for seed in range(10_000):
-            weak = make_weak_redundancy(gf13, CUBIC, excluded, random.Random(seed))
+            weak = make_weak_redundancy(gf13, CUBIC_POINTS, random.Random(seed))
             assert weak.x not in excluded
             assert weak.x != 0
 
     def test_no_admissible_x_rejected(self, gf13, rng):
+        # twelve members at x = 1..12 leave no nonzero x in GF(13)
+        points = [Share(x, gf13.poly_eval(CUBIC, x)) for x in range(1, 13)]
         with pytest.raises(DomainError):
-            make_weak_redundancy(gf13, CUBIC, set(range(13)), rng)
+            make_weak_redundancy(gf13, points, rng)
+
+
+@st.composite
+def setup_cases(draw):
+    """(field, secret, k, n, gamma, seed): a random prime p, 1 <= k <= n < p,
+    and a group of gamma of the n shares."""
+    p = draw(st.one_of(st.integers(2, 64), st.integers(2, 2**61)))
+    while not is_probable_prime(p):
+        p += 1
+    n = draw(st.integers(1, min(p - 1, 40)))
+    k = draw(st.integers(1, n))
+    gamma = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return PrimeField(p), draw(st.integers(0, p - 1)), k, n, gamma, seed
+
+
+@settings(deadline=None)
+@given(setup_cases())
+def test_point_setup_matches_the_coefficient_reference(case):
+    """split and make_weak_redundancy, which work from points, give what
+    the coefficient helpers give: the same rng draws, the same values."""
+    field, secret, k, n, gamma, seed = case
+    shares = split(field, secret, k, n, random.Random(seed))
+    poly = field.poly_random(k - 1, [(0, secret)], random.Random(seed))
+    assert shares == [Share(x, field.poly_eval(poly, x)) for x in range(1, n + 1)]
+
+    group = shares[n - gamma :]
+    if gamma + 1 >= field.modulus:  # zero and the members fill the field
+        with pytest.raises(DomainError):
+            make_weak_redundancy(field, group, random.Random(seed))
+        return
+    weak = make_weak_redundancy(field, group, random.Random(seed))
+    assert weak.x != 0 and weak.x not in {s.x for s in group}
+    assert weak.y == field.poly_eval(build_repair_function(field, group), weak.x)
 
 
 class TestSecondSharing:
@@ -188,7 +227,7 @@ class TestRepairShare:
     def test_every_member_repairable(self, big_field, rng):
         coeffs = [rng.randrange(big_field.modulus) for _ in range(4)]
         points = [Share(x, big_field.poly_eval(coeffs, x)) for x in range(1, 5)]
-        weak = make_weak_redundancy(big_field, coeffs, {1, 2, 3, 4}, rng)
+        weak = make_weak_redundancy(big_field, points, rng)
         for failed in points:
             surviving = [p for p in points if p != failed]
             got = repair_share(big_field, surviving, weak, failed.x, gamma=4)
