@@ -9,6 +9,7 @@ subcommand requires an explicit --seed; nothing draws ambient entropy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -220,7 +221,14 @@ def cmd_attack(args) -> int:
     return _attack_enum(args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built at the first call.
+
+    parse_args keeps no state between calls, so every main call reuses it;
+    each default must therefore be immutable, and the func defaults bind
+    the cmd_* functions as they are at the first call.
+    """
     parser = argparse.ArgumentParser(
         prog="lrshare",
         description=(
@@ -273,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack = sub.add_parser("attack", help="compromise analyses")
     p_attack.add_argument("--mode", choices=("analytic", "mc", "enum"), required=True)
     p_attack.add_argument(
-        "--q", type=float, nargs="+", default=[0.5], help="per-server compromise probability"
+        "--q", type=float, nargs="+", default=(0.5,), help="per-server compromise probability"
     )
     p_attack.add_argument("--trials", type=int, default=100_000)
     p_attack.add_argument("--seed", type=int, help="seed for mc mode")

@@ -111,10 +111,13 @@ def setup_sss(
     return split(field, sub_secret, gamma, gamma + 1, rng)
 
 
-def _value_at(field: PrimeField, points: list[Share], gamma: int, x: int) -> int:
-    """Value at x of the polynomial through the first gamma points in x order."""
+def _values_at(
+    field: PrimeField, points: list[Share], gamma: int, targets: list[int]
+) -> list[int]:
+    """Values at the targets of the polynomial through the first gamma
+    points in x order: one interpolate_at, so one set of weights."""
     first = _checked_sorted(points)[:gamma]
-    return field.interpolate_at([(s.x, s.y) for s in first], [x])[0]
+    return field.interpolate_at([(s.x, s.y) for s in first], targets)
 
 
 def repair_share(
@@ -142,7 +145,7 @@ def repair_share(
             f"repair needs {gamma} points, got {len(points)}"
             " (more than one failure in this group)"
         )
-    return _value_at(field, points, gamma, failed_x)
+    return _values_at(field, points, gamma, [failed_x])[0]
 
 
 def restore_subshare(
@@ -150,17 +153,20 @@ def restore_subshare(
     subshares: list[Share],
     failed_sss_x: int,
     gamma: int,
-) -> Share:
-    """Rebuild a lost sub-share of the group's second sharing.
+) -> tuple[int, Share]:
+    """Rebuild a lost sub-share of the group's second sharing; returns the
+    group sub-secret and the restored sub-share.
 
     With threshold gamma the sub-sharing polynomial has degree gamma-1, so
-    any gamma sub-shares determine it; its value at the failed position is
-    computed from the first gamma in x order with PrimeField.interpolate_at.
-    Without this step a repaired node would come back without its sub-share
-    and the group could not survive the next failure.
+    any gamma sub-shares determine it.  Its values at zero (the sub-secret)
+    and at the failed position come from the first gamma in x order, by
+    one PrimeField.interpolate_at call, so a repair builds these weights
+    once for both.  Without this step a repaired node would come back
+    without its sub-share and the group could not survive the next failure.
     """
     if len(subshares) < gamma:
         raise InsufficientPointsError(
             f"restore needs {gamma} sub-shares, got {len(subshares)}"
         )
-    return Share(failed_sss_x, _value_at(field, subshares, gamma, failed_sss_x))
+    sub_secret, y = _values_at(field, subshares, gamma, [0, failed_sss_x])
+    return sub_secret, Share(failed_sss_x, y)

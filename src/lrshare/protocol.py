@@ -360,9 +360,10 @@ def request_repair(
     redundancy from gamma sub-shares, interpolates the repairing
     polynomial from the surviving member points plus the weak point, and
     computes the lost share value, which is revealed to the proposer
-    alone.  The failed node's own sub-share is restored from the same
-    gamma sub-shares.  The state is updated in place and the message
-    trace returned, its events in send order.
+    alone.  The failed node's own sub-share is restored by the same
+    interpolation of the gamma sub-shares that gives the weak redundancy.
+    The state is updated in place and the message trace returned, its
+    events in send order.
     """
     node = state.nodes.get(failed_id)
     if node is None:
@@ -426,7 +427,10 @@ def request_repair(
         )
 
     subshares = [state.nodes[mid].subshare for mid in survivors] + [external_sub]
-    sub_secret = shamir.recover(state.field, subshares, gamma)
+    failed_sss_x = block.index(failed_id) + 1
+    sub_secret, restored_sub = grouping.restore_subshare(
+        state.field, subshares, failed_sss_x, gamma
+    )
     add("interpolation", failed_id, (failed_id,), points=gamma, x_lambda=x_lambda)
     surviving_points = [state.nodes[mid].primary for mid in survivors]
     repaired_y = grouping.repair_share(
@@ -438,8 +442,6 @@ def request_repair(
     )
     add("delivery", failed_id, (failed_id,), x=failed_x, y=repaired_y)
 
-    failed_sss_x = block.index(failed_id) + 1
-    restored_sub = grouping.restore_subshare(state.field, subshares, failed_sss_x, gamma)
     add("subshare-restore", failed_id, (failed_id,), sub_x=failed_sss_x)
 
     repaired = Share(failed_x, repaired_y)

@@ -279,9 +279,10 @@ def test_c9_repair_cost_independent_of_system_size():
 
 def test_c9_repair_field_operations_independent_of_system_size(monkeypatch):
     """The gating companion of c9: repairing node 5 (gamma = 4) makes the
-    same interpolate_at calls, each of gamma points and one target, and the
-    same inv calls at every system size, so repair is O(gamma^2) field
-    operations whatever n is."""
+    same interpolate_at calls, each of gamma points (the lost share at one
+    target, the sub-secret and the lost sub-share at two), and the same inv
+    calls at every system size, so repair is O(gamma^2) field operations
+    whatever n is."""
     record = []
     interpolate_at, inv = PrimeField.interpolate_at, PrimeField.inv
 
@@ -303,7 +304,7 @@ def test_c9_repair_field_operations_independent_of_system_size(monkeypatch):
             patch.setattr(PrimeField, "inv", counted_inv)
             request_repair(state, state.hw_ids[4], 5)
         records[n] = sorted(record)
-    expected = [("interpolate_at", 4, 1)] * 3 + [("inv",)] * 3
+    expected = [("interpolate_at", 4, 1), ("interpolate_at", 4, 2)] + [("inv",)] * 2
     assert records == {12: expected, 120: expected, 1024: expected}
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: flows, output formats, exit-code contract."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrshare import groups, protocol, shamir
+from lrshare import cli, groups, protocol, shamir
 from lrshare.cli import main
 from lrshare.field import DEFAULT_MODULUS as P, PrimeField
 from tests.test_threat import ReferenceCounter, state_holders
@@ -1194,6 +1195,20 @@ class TestAttack:
         assert [r["q"] for r in records] == [0.3, 0.5]
         assert records[1]["p1_exact"] == 0.0625
 
+    def test_analytic_default_q_after_an_explicit_q(self, capsys):
+        # one parser serves every call, so the default must not keep an
+        # earlier call's --q
+        for fmt, line in [
+            ("text", "q=0.5 p1=0.0625 p2=0.1875"),
+            ("json", '{"p1_exact": 0.0625, "p2_exact": 0.1875, "q": 0.5, "record": "analytic"}'),
+        ]:
+            code, _, _ = run(
+                capsys, "--format", fmt, "attack", "--mode", "analytic", "--q", "0.1", "0.3"
+            )
+            assert code == 0
+            got = run(capsys, "--format", fmt, "attack", "--mode", "analytic")
+            assert got == (0, line + "\n", "")
+
     def test_mc_requires_seed(self, capsys):
         code, _, err = run(capsys, "attack", "--mode", "mc", "--q", "0.5")
         assert code == 2
@@ -1383,3 +1398,69 @@ def test_no_command_builds_a_coefficient_list(tmp_path, capsys, monkeypatch, pla
     for owner, name in COEFFICIENT_HELPERS:
         monkeypatch.setattr(owner, name, refuse)
     assert run_every_command(capsys, directory, placement) == expected
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call; a usage error and
+    --help leave argparse by SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def interleaved_commands(directory):
+    """Every command under both formats, with usage errors, --help and
+    refused commands between them, on one TOY state."""
+    state = ["--state-dir", str(directory)]
+    commands = []
+    for fmt in ("text", "json"):
+        form = ["--format", fmt]
+        commands += [
+            [*state, *form, "setup", *TOY_FLAGS],
+            [*state, *form, "fail", "--node", "6"],
+            [*state, "--format", "xml", "repair", "--node", "6"],
+            [*state, *form, "repair", "--node", "6"],
+            [*form, "attack", "--mode", "analytic", "--q", "0.3", "0.5"],
+            [*state, *form, "recover", "--participants", *map(str, range(1, 13))],
+            ["--help"],
+            [*state, *form, "attack", "--mode", "enum"],
+            [*form, "attack", "--mode", "mc", "--q", "0.3", "--trials", "1000", "--seed", "9"],
+            [*state, *form, "attack", "--mode", "enum", "--anti-reciprocal"],
+            [*form, "attack", "--mode", "analytic"],
+            [*form, "attack", "--help"],
+            [*state, *form, "recover", "--participants", "1", "2"],
+            [*state, *form, "fail", "--node", "99"],
+        ]
+    return commands
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    directory = tmp_path / "state"  # setup prints it, so both runs share it
+    outcome(capsys, ["attack", "--mode", "analytic"])  # the parser exists
+    reused = [outcome(capsys, argv) for argv in interleaved_commands(directory)]
+    assert {code for code, _, _ in reused} == {0, 2, 4}
+
+    shutil.rmtree(directory)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [outcome(capsys, argv) for argv in interleaved_commands(directory)]
+    assert fresh == reused
+
+
+def test_no_parser_is_built_after_the_first_command(tmp_path, capsys, monkeypatch):
+    outcome(capsys, ["attack", "--mode", "analytic"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in interleaved_commands(tmp_path / "state"):
+        outcome(capsys, argv)
+    assert built == []
+    cli.build_parser.__wrapped__()  # the count does see a build
+    assert built[0] == "lrshare"

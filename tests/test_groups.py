@@ -238,20 +238,22 @@ class TestRestoreSubshare:
     def test_holdout_oracle(self, big_field):
         rng = random.Random(5150)
         for _ in range(100):
-            subshares = setup_sss(big_field, rng.randrange(big_field.modulus), 4, rng)
+            secret = rng.randrange(big_field.modulus)
+            subshares = setup_sss(big_field, secret, 4, rng)
             withheld = subshares[rng.randrange(5)]
             rest = [s for s in subshares if s != withheld]
-            assert restore_subshare(big_field, rest, withheld.x, gamma=4) == withheld
+            got = restore_subshare(big_field, rest, withheld.x, gamma=4)
+            assert got == (secret, withheld)
 
     def test_line_midpoint(self, gf13):
         # 4 + 2x: sub-shares at x=1 and x=3 restore x=2
         restored = restore_subshare(gf13, [Share(1, 6), Share(3, 10)], 2, gamma=2)
-        assert restored == Share(2, 8)
+        assert restored == (4, Share(2, 8))
 
     def test_existing_x_restored_identically(self, gf13, rng):
         subshares = setup_sss(gf13, 9, 4, rng)
         restored = restore_subshare(gf13, subshares[:4], subshares[1].x, gamma=4)
-        assert restored == subshares[1]
+        assert restored == (9, subshares[1])
 
     def test_too_few_subshares(self, gf13):
         with pytest.raises(InsufficientPointsError):
@@ -260,7 +262,7 @@ class TestRestoreSubshare:
     def test_uses_the_first_gamma_in_x_order(self, gf13):
         # 4 + 2x through x=1 and x=3; the point at x=5 is off the line
         subshares = [Share(5, 0), Share(3, 10), Share(1, 6)]
-        assert restore_subshare(gf13, subshares, 2, gamma=2) == Share(2, 8)
+        assert restore_subshare(gf13, subshares, 2, gamma=2) == (4, Share(2, 8))
         assert repair_share(gf13, subshares[:2], Share(1, 6), 2, 2) == 8
 
     def test_duplicate_x_beyond_the_first_gamma_rejected(self, gf13):

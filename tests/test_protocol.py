@@ -27,6 +27,7 @@ from lrshare.errors import (
     SharingError,
     StateFileError,
 )
+from lrshare.field import PrimeField
 from lrshare.groups import group_of, members
 from lrshare.protocol import (
     PLACEMENT_ANTI_RECIPROCAL,
@@ -514,6 +515,21 @@ class TestRepair:
         assert (repaired, restored) == (original, original_sub)
         assert (node.primary, node.subshare) == (original, original_sub)
         assert recover_secret(state, range(n - k + 1, n + 1)) == 42
+
+    def test_builds_two_weight_sets(self, toy_system, monkeypatch):
+        # one set over the gamma sub-shares gives the sub-secret and the
+        # restored sub-share, the other gives the lost share
+        built = []
+        weights = PrimeField.barycentric_weights
+
+        def counting(field, xs):
+            built.append(len(xs))
+            return weights(field, xs)
+
+        monkeypatch.setattr(PrimeField, "barycentric_weights", counting)
+        mark_failed(toy_system, 3)
+        request_repair(toy_system, toy_system.hw_ids[2], 3)
+        assert built == [toy_system.gamma] * 2
 
     def test_trace_shape(self, toy_system):
         mark_failed(toy_system, 3)
