@@ -54,8 +54,6 @@ def _state_dir(args) -> str:
 
 
 def cmd_setup(args) -> int:
-    # system_setup checks the modulus and every other option but the
-    # secret; nothing is written before the secret is checked too
     state = protocol.system_setup(
         k=args.k,
         n=args.n,
@@ -65,8 +63,6 @@ def cmd_setup(args) -> int:
         modulus=args.modulus,
         placement=args.placement,
     )
-    if not 0 <= args.secret < args.modulus:  # split reduced it mod p
-        raise ConfigurationError(f"secret {args.secret} outside [0, {args.modulus})")
     directory = _state_dir(args)
     protocol.save_state(state, directory)
     groups = [

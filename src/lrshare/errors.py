@@ -49,7 +49,7 @@ class HolderLostError(SharingError):
 
 
 class IntegrityError(SharingError):
-    """More than one node answered a digest broadcast."""
+    """A group's external sub-share has more than one holder."""
 
 
 class EnumerationLimitError(SharingError):

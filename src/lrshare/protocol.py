@@ -53,12 +53,15 @@ PLACEMENT_ANTI_RECIPROCAL = "anti-reciprocal"
 PLACEMENT_RECIPROCAL = "reciprocal"
 PLACEMENT_NONE = "none"
 
-PLACEMENT_MODES = (
-    PLACEMENT_RANDOM,
-    PLACEMENT_ANTI_RECIPROCAL,
-    PLACEMENT_RECIPROCAL,
-    PLACEMENT_NONE,
-)
+# Each placement mode and its fewest groups: an external sub-share sits outside
+# its group, and anti-reciprocal holders must close a cycle of three or more.
+LEAST_GROUPS = {
+    PLACEMENT_RANDOM: 2,
+    PLACEMENT_ANTI_RECIPROCAL: 3,
+    PLACEMENT_RECIPROCAL: 2,
+    PLACEMENT_NONE: 1,
+}
+PLACEMENT_MODES = tuple(LEAST_GROUPS)
 
 _HW_BITS = 48
 
@@ -120,6 +123,14 @@ class SystemState:
 
     def group_digests(self) -> dict[str, int]:
         return {self.digest(g): g for g in range(1, self.m + 1)}
+
+    def require_every_store(self, action: str):
+        """Refuse a partial load_state result: action needs every store."""
+        if len(self.nodes) != self.n:
+            raise ConfigurationError(
+                f"{action} needs all {self.n} node stores, the state holds "
+                f"{len(self.nodes)}; a partial load is read-only"
+            )
 
 
 _REDACTED_KEYS = frozenset({"y", "sub_y", "point_y"})
@@ -222,16 +233,40 @@ def _place_all(
                 holders[g] = _draw_holder(g, bars[g], state.n, gamma, rng)
                 if anti_reciprocal:
                     bars[grouping.group_of(holders[g], gamma)].add(g)
-        except PlacementError:
-            if anti_reciprocal:
-                continue
-            raise
+        except PlacementError:  # with m >= LEAST_GROUPS, anti-reciprocal only
+            continue
         for g, holder_id in holders.items():
             state.nodes[holder_id].hosted.append((state.digest(g), external[g]))
         return
     raise PlacementError(
         f"no admissible placement found in {_PLACEMENT_ATTEMPTS} rounds"
     )
+
+
+def check_parameters(k, n, m, modulus, placement: str) -> PrimeField:
+    """The field of a buildable system, by the one rule setup and load_state
+    apply: integers (not booleans) 1 <= k <= n, a known placement, a prime
+    modulus above n + m + 2, partition(n, m)'s equal groups of two or more,
+    and at least LEAST_GROUPS[placement] groups.  Else ConfigurationError."""
+    if any(type(v) is not int for v in (k, n, m)) or not 1 <= k <= n:
+        raise ConfigurationError(
+            f"need integers k, n, m with 1 <= k <= n, got k={k!r}, n={n!r}, m={m!r}"
+        )
+    if placement not in PLACEMENT_MODES:
+        raise ConfigurationError(f"unknown placement mode {placement!r}")
+    try:
+        field = PrimeField(modulus)
+    except DomainError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    if modulus <= n + m + 2:
+        raise ConfigurationError(
+            f"modulus {modulus} too small for n={n}, m={m}: need modulus > n + m + 2"
+        )
+    grouping.partition(n, m)
+    least = LEAST_GROUPS[placement]
+    if m < least:
+        raise ConfigurationError(f"{placement} placement needs m >= {least}, got m={m}")
+    return field
 
 
 def system_setup(
@@ -255,26 +290,13 @@ def system_setup(
     placement='none' skips all redundancy (bare threshold fixture);
     'reciprocal' forces groups 1 and 2 to host each other's sub-share, the
     worst-case fixture of the compromise analysis.  Deterministic per seed.
-    Bad parameters, a non-prime modulus included, raise ConfigurationError.
+    What check_parameters refuses, a secret not an integer in [0, modulus)
+    and a seed not an int raise ConfigurationError before any draw.
     """
-    if placement not in PLACEMENT_MODES:
-        raise ConfigurationError(f"unknown placement mode {placement!r}")
-    if seed is None:
-        raise ConfigurationError("a seed is required; no ambient entropy is used")
-
-    try:
-        field = PrimeField(modulus)
-    except DomainError as exc:
-        raise ConfigurationError(str(exc)) from exc
-    if modulus <= n + m + 2:
-        raise ConfigurationError(
-            f"modulus {modulus} too small for n={n}, m={m}: need modulus > n + m + 2"
-        )
-    blocks = grouping.partition(n, m)
+    field = check_parameters(k, n, m, modulus, placement)
+    if type(secret) is not int or not 0 <= secret < modulus:
+        raise ConfigurationError(f"secret {secret!r} is not an integer in [0, {modulus})")
     gamma = n // m
-    if placement == PLACEMENT_RECIPROCAL and m < 2:
-        raise ConfigurationError("reciprocal placement needs at least two groups")
-
     id_rng = derive_rng(seed, "identity")
     hw_ids: list[int] = []  # participant i's at index i - 1
     seen: set[int] = set()
@@ -293,7 +315,8 @@ def system_setup(
     x_lambda: list[int | None] = [None] * m
     external: dict[int, Share] = {}
     if placement != PLACEMENT_NONE:
-        for g, block in enumerate(blocks, 1):
+        for g in range(1, m + 1):
+            block = grouping.members(g, gamma)
             member_shares = [shares[mid - 1] for mid in block]
             weak = grouping.make_weak_redundancy(
                 field, member_shares, derive_rng(seed, f"lambda:{g}")
@@ -328,8 +351,9 @@ def lookup_holder(state: SystemState, digest_hex: str) -> tuple[int, Share]:
 
     Exactly one node must respond in a well-formed system; zero responders
     means the external sub-share is lost with its holder, more than one is
-    a placement integrity violation.
+    a placement integrity violation.  A partial load is refused.
     """
+    state.require_every_store("a digest broadcast")
     responders = []
     for node_id in sorted(state.nodes):
         for hosted_digest, sub in state.nodes[node_id].hosted:
@@ -363,8 +387,9 @@ def request_repair(
     alone.  The failed node's own sub-share is restored by the same
     interpolation of the gamma sub-shares that gives the weak redundancy.
     The state is updated in place and the message trace returned, its
-    events in send order.
+    events in send order.  A partial load raises ConfigurationError.
     """
+    state.require_every_store("repair")
     node = state.nodes.get(failed_id)
     if node is None:
         raise ConfigurationError(f"unknown node {failed_id}")
@@ -610,11 +635,7 @@ def save_state(
             _write_file(tmp, tmp, data)
             os.replace(tmp, path)
         return
-    if len(state.nodes) != state.n:
-        raise ConfigurationError(
-            f"state holds {len(state.nodes)} of {state.n} node "
-            "stores; a partial load is read-only"
-        )
+    state.require_every_store("a full save")
     os.makedirs(node_dir, exist_ok=True)
     registry = os.path.join(root, REGISTRY_FILE)
     try:
@@ -685,12 +706,12 @@ def load_state(
     Otherwise, or when a file is not UTF-8 JSON or lacks an entry (a
     registry in an older format among them), StateFileError names the file
     and the first key that differs.  So do the checks a rewrite cannot
-    make: a prime modulus, integers 1 <= k <= n, n hardware ids and m
-    x_lambda values, partition(n, m), a known placement mode, n distinct
-    hardware ids, no float or boolean anywhere, a sub-share held exactly
-    while the node is alive and its group has redundancy, and hosted
-    digests that name a group with redundancy.  A share value outside
-    [0, p) raises DomainError; it and an OSError name the file.
+    make: n hardware ids and m x_lambda values, then setup's rule
+    (check_parameters), n distinct hardware ids, no float or boolean
+    anywhere, a sub-share held exactly while the node is alive and its
+    group has redundancy, and hosted digests that name a group with
+    redundancy.  A share value outside [0, p) raises DomainError; it and
+    an OSError name the file.
     """
     root = os.fspath(directory)
     path = os.path.join(root, REGISTRY_FILE)  # the file being parsed, for errors
@@ -700,22 +721,11 @@ def load_state(
         k, n, m = registry["k"], registry["n"], registry["m"]
         hw_text, x_text = registry["hw_ids"], registry["x_lambda"]
         mode = registry["placement_mode"]
-        try:
-            field = PrimeField(registry["modulus"])
-        except DomainError as exc:
-            raise StateFileError(f"{path}: {exc}") from exc
-        if any(type(v) is not int for v in (k, n, m)) or not 1 <= k <= n:
-            raise StateFileError(
-                f"{path}: need integers k, n, m with 1 <= k <= n, "
-                f"got k={k!r}, n={n!r}, m={m!r}"
-            )
-        if mode not in PLACEMENT_MODES:
-            raise StateFileError(f"{path}: unknown placement_mode {mode!r}")
-        # the counts go first, so an edited n or m cannot build huge lists below
+        # the counts go first: check_parameters' partition(n, m) builds m ranges
         if len(hw_text) != n * _HW_BITS // 4 or len(x_text) != m:
             raise StateFileError(f"{path}: need {n} hw_ids and {m} x_lambda values")
         try:
-            grouping.partition(n, m)
+            field = check_parameters(k, n, m, registry["modulus"], mode)
         except ConfigurationError as exc:
             raise StateFileError(f"{path}: {exc}") from exc
         # bytes carry no sign, so every id fits in _HW_BITS; the rewrite

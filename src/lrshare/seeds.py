@@ -10,9 +10,14 @@ from __future__ import annotations
 import hashlib
 import random
 
+from .errors import ConfigurationError
+
 
 def derive_seed(master_seed: int, label: str) -> int:
-    """64-bit child seed for the given stream label."""
+    """64-bit child seed for the given stream label.  A master seed that is
+    not an int (None, a bool, 7.5 or "7") raises ConfigurationError."""
+    if type(master_seed) is not int:
+        raise ConfigurationError(f"seed {master_seed!r} is not an int")
     digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

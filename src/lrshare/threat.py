@@ -6,8 +6,8 @@ Three layers:
   with and without a fifth dedicated redundancy server, plus seeded Monte
   Carlo estimates of both;
 * the attacker-knowledge closure: everything derivable from a compromised
-  server set plus the public registry, iterating sub-secret recovery and
-  repairing-polynomial interpolation to a fixpoint;
+  server set plus the public registry, by sub-secret recovery and
+  repairing-polynomial interpolation, group by group;
 * the exact smallest compromised set that recovers the global secret:
   under the state's placement by a search over sets of groups (not of
   nodes), refused above ENUMERATION_GROUP_LIMIT groups; over all admissible
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import shamir
-from .errors import ConfigurationError, DomainError, EnumerationLimitError
+from .errors import ConfigurationError, DomainError, EnumerationLimitError, IntegrityError
 from .groups import group_of, members
-from .protocol import SystemState
+from .protocol import LEAST_GROUPS, PLACEMENT_ANTI_RECIPROCAL, PLACEMENT_RANDOM, SystemState
 from .shamir import Share
 
 SCHEME_BASELINE4 = "baseline4"
@@ -144,7 +144,7 @@ def attacker_closure(state: SystemState, compromised) -> AttackerKnowledge:
     """Close a compromised set under the derivation rules.
 
     Starting from all private data on the compromised nodes plus the public
-    registry, repeat until nothing changes:
+    registry, apply to each group in turn:
 
     R1: gamma or more sub-shares of one group recover that group's
         weak-redundancy value (the sub-sharing threshold is gamma);
@@ -175,30 +175,25 @@ def attacker_closure(state: SystemState, compromised) -> AttackerKnowledge:
         for digest, sub in node.hosted:
             known_subshares[digest_to_group[digest]].add(sub)
 
+    # One pass reaches the fixpoint: R1 reads only captured sub-shares, and
+    # R2 writes only its own group's members, so no rule feeds another group.
     derived: dict[int, int] = {}
-    changed = True
-    while changed:
-        changed = False
-        for group_id, x_lambda in enumerate(state.x_lambda, 1):
-            if x_lambda is None:
-                continue
-            subs = known_subshares[group_id]
-            if group_id not in derived and len(subs) >= gamma:
-                derived[group_id] = shamir.recover(field, sorted(subs), gamma)
-                changed = True
-            # node i's share sits at x = i
-            block = members(group_id, gamma)
-            member_points = [
-                (mid, known_primary[mid]) for mid in block if mid in known_primary
-            ]
-            if group_id in derived and gamma - 1 <= len(member_points) < gamma:
-                missing = [mid for mid in block if mid not in known_primary]
-                values = field.interpolate_at(
-                    member_points + [(x_lambda, derived[group_id])],
-                    missing,
-                )
-                known_primary.update(zip(missing, values))
-                changed = True
+    for group_id, x_lambda in enumerate(state.x_lambda, 1):
+        subs = known_subshares[group_id]
+        if x_lambda is None or len(subs) < gamma:
+            continue
+        derived[group_id] = shamir.recover(field, sorted(subs), gamma)
+        # node i's share sits at x = i
+        block = members(group_id, gamma)
+        member_points = [
+            (mid, known_primary[mid]) for mid in block if mid in known_primary
+        ]
+        if len(member_points) == gamma - 1:
+            missing = [mid for mid in block if mid not in known_primary]
+            values = field.interpolate_at(
+                member_points + [(x_lambda, derived[group_id])], missing
+            )
+            known_primary.update(zip(missing, values))
 
     return AttackerKnowledge(
         known_primary=known_primary,
@@ -272,11 +267,7 @@ def min_compromise_search(state: SystemState) -> CompromiseResult:
     system with at most one hosted sub-share per group, and is refused
     above ENUMERATION_GROUP_LIMIT groups.
     """
-    if len(state.nodes) != state.n:
-        raise ConfigurationError(
-            f"compromise search needs all {state.n} node stores, "
-            f"the state holds {len(state.nodes)}"
-        )
+    state.require_every_store("compromise search")
     failed = [i for i, node in state.nodes.items() if node.failed]
     if failed:
         raise ConfigurationError(
@@ -287,10 +278,8 @@ def min_compromise_search(state: SystemState) -> CompromiseResult:
     for node_id, node in state.nodes.items():
         for digest, _ in node.hosted:
             group_id = digest_to_group[digest]
-            if group_id in holders:
-                raise ConfigurationError(
-                    f"group {group_id} has multiple hosted sub-shares"
-                )
+            if group_id in holders:  # as a repair's digest broadcast finds
+                raise IntegrityError(f"group {group_id} has multiple hosted sub-shares")
             holders[group_id] = node_id
     if state.m > ENUMERATION_GROUP_LIMIT:
         raise EnumerationLimitError(
@@ -348,7 +337,7 @@ def min_compromise_over_placements(
             "placement sweep needs a system with repair redundancy"
         )
     gamma, k, m = state.gamma, state.k, state.m
-    c = 3 if anti_reciprocal else 2
+    c = LEAST_GROUPS[PLACEMENT_ANTI_RECIPROCAL if anti_reciprocal else PLACEMENT_RANDOM]
     if m < c:
         raise ConfigurationError("no admissible placement to sweep")
     size, best = min(

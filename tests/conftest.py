@@ -9,9 +9,6 @@ from lrshare.field import DEFAULT_MODULUS, PrimeField
 # The 12-node toy deployment used throughout: (8, 12) sharing, 3 groups of 4.
 TOY = dict(k=8, n=12, m=3, secret=42, seed=7)
 
-# Fewest groups each placement can be built with.
-_LEAST_GROUPS = {protocol.PLACEMENT_NONE: 1, protocol.PLACEMENT_ANTI_RECIPROCAL: 3}
-
 
 def storage_accounting(state) -> dict:
     """Private field elements per node and system-wide, the paper's count.
@@ -33,7 +30,7 @@ def storage_accounting(state) -> dict:
 def system_shapes(draw, max_n):
     """(k, n, m, placement, seed) of a buildable system with at most max_n nodes."""
     placement = draw(st.sampled_from(protocol.PLACEMENT_MODES))
-    least = _LEAST_GROUPS.get(placement, 2)
+    least = protocol.LEAST_GROUPS[placement]
     gamma = draw(st.integers(2, max_n // least))
     m = draw(st.integers(least, max_n // gamma))
     k = draw(st.integers(1, gamma * m))

@@ -121,6 +121,28 @@ class TestSetup:
         assert "modulus must be prime" in err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--k", "2", "--n", "4", "--m", "1"],
+            ["--k", "3", "--n", "4", "--m", "2", "--placement", "anti-reciprocal"],
+        ],
+        ids=["random-one-group", "anti-reciprocal-two-groups"],
+    )
+    def test_unplaceable_shape_exits_two_before_sharing(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("setup computed shares")
+
+        monkeypatch.setattr(shamir, "split", refuse)
+        flags = [*flags, "--secret", "1", "--seed", "1"]
+        code, out, err = run(capsys, "setup", *flags, state_dir=tmp_path / "s")
+        assert (code, out) == (2, "")
+        assert err.startswith("configuration:")
+        assert "placement needs m >= " in err
+        assert not (tmp_path / "s" / "registry.json").exists()
+
     def test_json_format(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "setup", *TOY_FLAGS, state_dir=tmp_path / "s"
@@ -463,6 +485,25 @@ class TestCorruptState:
             assert str(path) in err
             assert "names no group with redundancy" in err
 
+    def test_doubly_hosted_subshare_exits_four(self, state_dir, capsys):
+        # each file alone loads; the search and the repair's digest
+        # broadcast both find two holders of group 1's external sub-share
+        digest = protocol.load_state(state_dir).digest(1)
+        entries = {
+            i: [e for e in json.loads(path.read_text())["hosted"] if e["digest_hex"] == digest]
+            for i, path in enumerate(sorted((state_dir / "nodes").iterdir()), 1)
+        }
+        [(holder, [entry])] = [(i, found) for i, found in entries.items() if found]
+        other = next(i for i in range(5, 13) if i != holder)
+        edit_node(state_dir, other, lambda raw: raw["hosted"].append(entry))
+        code, out, err = run(capsys, "attack", "--mode", "enum", state_dir=state_dir)
+        assert (code, err) == (4, "")
+        assert out == "integrity: group 1 has multiple hosted sub-shares\n"
+        assert run(capsys, "fail", "--node", "1", state_dir=state_dir)[0] == 0
+        code, out, err = run(capsys, "repair", "--node", "1", state_dir=state_dir)
+        assert (code, err) == (4, "")
+        assert out.startswith("integrity: 2 holders responded")
+
     def test_node_file_of_another_node_exits_three(self, state_dir, capsys):
         nodes = state_dir / "nodes"
         (nodes / "node_04.json").write_bytes((nodes / "node_03.json").read_bytes())
@@ -512,6 +553,20 @@ class TestCorruptState:
         assert out == ""
         assert err.startswith("io-error:")
         assert "registry.json" in err
+
+    def test_modulus_too_small_for_the_shape_exits_three(self, tmp_path, capsys):
+        # with k = 1 every share is the secret, so at modulus 7 the shares
+        # still lie in the field; but setup refuses 7 for n + m + 2 = 8
+        directory = tmp_path / "state"
+        flags = ["--k", "1", "--n", "4", "--m", "2", "--secret", "3", "--seed", "7"]
+        flags += ["--modulus", "11", "--placement", "none"]
+        assert run(capsys, "setup", *flags, state_dir=directory)[0] == 0
+        edit_registry(directory, lambda raw: raw.update(modulus=7))
+        code, out, err = run(capsys, "recover", "--participants", "1", state_dir=directory)
+        assert (code, out) == (3, "")
+        assert err.startswith("io-error:")
+        assert str(directory / "registry.json") in err
+        assert "need modulus > n + m + 2" in err
 
     @pytest.mark.parametrize(
         "command",

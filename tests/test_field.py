@@ -154,6 +154,9 @@ class TestPrimality:
     def test_default_modulus_is_prime(self):
         assert is_probable_prime(DEFAULT_MODULUS)
 
+    def test_repr_names_the_modulus(self, gf13):
+        assert repr(gf13) == "PrimeField(13)"
+
 
 class TestElementOps:
     def test_inverse_of_one(self, gf13):

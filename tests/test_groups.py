@@ -59,6 +59,11 @@ class TestPartition:
         with pytest.raises(ConfigurationError):
             partition(6, 6)
 
+    def test_no_groups_rejected(self):
+        for m in (0, -2):
+            with pytest.raises(ConfigurationError, match=f"at least one group, got m={m}"):
+                partition(4, m)
+
     def test_groups_are_disjoint_and_cover(self):
         blocks = partition(20, 5)
         seen = [m for block in blocks for m in block]

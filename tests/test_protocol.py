@@ -27,7 +27,7 @@ from lrshare.errors import (
     SharingError,
     StateFileError,
 )
-from lrshare.field import PrimeField
+from lrshare.field import DEFAULT_MODULUS, PrimeField
 from lrshare.groups import group_of, members
 from lrshare.protocol import (
     PLACEMENT_ANTI_RECIPROCAL,
@@ -311,6 +311,26 @@ class TestSetup:
         with pytest.raises(ConfigurationError):
             system_setup(8, 12, 3, secret=1, seed=None)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"k": True},
+            {"k": 8.0},
+            {"secret": DEFAULT_MODULUS},
+            {"secret": -1},
+            {"secret": 42.0},
+            {"seed": 7.5},
+            {"seed": "7"},
+            {"placement": "sideways"},
+        ],
+        ids=lambda change: "-".join(f"{key}={value!r}" for key, value in change.items()),
+    )
+    def test_malformed_arguments_rejected(self, change):
+        # k=True saved "k": true, a secret of p or -1 was reduced mod p, k=8.0
+        # raised a bare TypeError, and seeds 7.5 and "7" drew streams of their own
+        with pytest.raises(ConfigurationError):
+            system_setup(**{**TOY, **change})
+
     def test_bare_system_has_no_redundancy(self, bare_system):
         assert bare_system.x_lambda == [None] * 3
         assert all(node.subshare is None for node in bare_system.nodes.values())
@@ -392,12 +412,13 @@ class TestPlacement:
         ],
     )
     def test_placement_errors_match_the_reference(self, shape, placement):
+        # setup refuses each shape the reference cannot place
         k, n, m = shape
-        with pytest.raises(PlacementError) as reference:
+        with pytest.raises(PlacementError):
             reference_placement(n, m, placement, derive_rng(1, "placement"))
-        with pytest.raises(PlacementError) as placed:
+        least = protocol.LEAST_GROUPS[placement]
+        with pytest.raises(ConfigurationError, match=f"needs m >= {least}, got m={m}"):
             system_setup(k, n, m, secret=1, seed=1, placement=placement)
-        assert str(placed.value) == str(reference.value)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(2, 64), st.integers(1, 64), st.data())
@@ -417,7 +438,7 @@ class TestPlacement:
 
     def test_two_group_anti_reciprocal_impossible(self):
         # with m=2 every cross-group placement is mutual by construction
-        with pytest.raises(PlacementError):
+        with pytest.raises(ConfigurationError):
             system_setup(3, 4, 2, secret=1, seed=1, placement=PLACEMENT_ANTI_RECIPROCAL)
 
 
@@ -471,7 +492,8 @@ class TestRepair:
         sub-shares stay lost (there is no re-placement), so each failed
         member is drawn among the group's members that host nothing."""
         k, n, m, placement, seed = shape
-        state = system_setup(k, n, m, secret=seed, seed=seed, placement=placement)
+        secret = seed % DEFAULT_MODULUS
+        state = system_setup(k, n, m, secret=secret, seed=seed, placement=placement)
         before = {i: node_store_dict(i, node) for i, node in state.nodes.items()}
         failed = []
         for g in range(1, m + 1):
@@ -627,6 +649,22 @@ class TestRepair:
         assert recover_secret(toy_system, range(1, 9)) == 42
 
 
+class TestPartialState:
+    def test_repair_and_broadcast_refuse_a_partial_state(self, toy_system, tmp_path):
+        """A partial load of the failed node alone used to raise a bare
+        KeyError from repair, and the broadcast answered HolderLostError
+        for a holder that was only not loaded."""
+        mark_failed(toy_system, 3)
+        save_state(toy_system, tmp_path)
+        partial = load_state(tmp_path, [3])
+        with pytest.raises(ConfigurationError, match="all 12 node stores"):
+            request_repair(partial, partial.hw_ids[2], 3)
+        with pytest.raises(ConfigurationError, match="all 12 node stores"):
+            lookup_holder(partial, partial.digest(1))
+        full = load_state(tmp_path)
+        assert request_repair(full, full.hw_ids[2], 3)[0].x == 3
+
+
 class TestRecoverSecret:
     def test_random_eight_subsets(self, toy_system, rng):
         for _ in range(30):
@@ -636,6 +674,12 @@ class TestRecoverSecret:
     def test_seven_is_insufficient(self, toy_system):
         with pytest.raises(InsufficientSharesError):
             recover_secret(toy_system, range(1, 8))
+
+    def test_unknown_participant_rejected(self, toy_system):
+        with pytest.raises(ConfigurationError, match="unknown node 99"):
+            recover_secret(toy_system, [*range(1, 8), 99])
+        with pytest.raises(ConfigurationError, match="unknown node 99"):
+            mark_failed(toy_system, 99)
 
     def test_failed_participant_rejected(self, toy_system):
         mark_failed(toy_system, 2)
@@ -694,7 +738,8 @@ class TestPersistence:
         """One leaf of one saved file replaced: either load_state refuses the
         state, or the writer gives every file back as it now reads."""
         k, n, m, placement, seed = shape
-        state = system_setup(k, n, m, secret=seed, seed=seed, placement=placement)
+        secret = seed % DEFAULT_MODULUS
+        state = system_setup(k, n, m, secret=secret, seed=seed, placement=placement)
         if fail_one:
             mark_failed(state, seed % n + 1)
         with tempfile.TemporaryDirectory() as tmp:
@@ -786,7 +831,8 @@ class TestPersistence:
         must write it nowhere: it writes no boolean, and every string it
         writes is a fixed key, a placement mode, or hex or decimal digits."""
         k, n, m, placement, seed = shape
-        state = system_setup(k, n, m, secret=seed, seed=seed, placement=placement)
+        secret = seed % DEFAULT_MODULUS
+        state = system_setup(k, n, m, secret=secret, seed=seed, placement=placement)
         if fail_one:
             mark_failed(state, seed % n + 1)
         files = [registry_dict(state)]
@@ -813,6 +859,15 @@ class TestPersistence:
         with pytest.raises(ConfigurationError, match="partial load is read-only"):
             save_state(partial, tmp_path)
         assert state_digest(tmp_path) == before
+
+    def test_unwritable_node_file_is_named_in_full(self, toy_system, tmp_path):
+        # the node files are opened by name under the directory's descriptor
+        path = tmp_path / "nodes" / "node_05.json"
+        path.mkdir(parents=True)
+        with pytest.raises(IsADirectoryError) as raised:
+            save_state(toy_system, tmp_path)
+        assert raised.value.filename == str(path)
+        assert not (tmp_path / "registry.json").exists()
 
     def test_roundtrip(self, toy_system, tmp_path):
         save_state(toy_system, tmp_path)

@@ -119,6 +119,10 @@ class TestReconstructPolynomial:
     def test_degenerate_constant(self, gf13):
         assert reconstruct_polynomial(gf13, [Share(3, 6)], 1) == [6]
 
+    def test_too_few_shares(self, gf13):
+        with pytest.raises(InsufficientSharesError, match="need at least 2 shares, got 1"):
+            reconstruct_polynomial(gf13, [Share(1, 8)], 2)
+
     def test_holdout_share_reproduced(self, big_field, rng):
         for _ in range(20):
             shares = split(big_field, rng.randrange(big_field.modulus), 4, 7, rng)
