@@ -26,6 +26,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # (bound, count): the first `count` bases of _MR_BASES decide every n below
 # bound exactly; each bound is the least strong pseudoprime to those bases.
+# Nothing at or above the last bound is decided, so nothing there is prime.
 _MR_PREFIXES = (
     (2_047, 1),
     (1_373_653, 2),
@@ -35,6 +36,7 @@ _MR_PREFIXES = (
     (3_474_749_660_383, 6),
     (341_550_071_728_321, 7),
     (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
 )
 
 
@@ -44,9 +46,10 @@ def is_probable_prime(n: int) -> bool:
     Each n is tested with the shortest prefix of _MR_BASES that is known
     to be deterministic at its size: bases 2, 3, 5 and 7 for n below
     3,215,031,751, which covers the default modulus, and all twelve above
-    3.8 * 10^18.  Twelve bases are deterministic for n < 3.18 * 10^23, far
-    beyond the 64-bit moduli this package targets.  Anything but an int (a
-    float or a bool) is not prime.
+    3.8 * 10^18.  Twelve bases are deterministic only below 3.18 * 10^23,
+    the least strong pseudoprime to all of them, so every n from there on
+    is refused, prime or not; that is far beyond the 64-bit moduli this
+    package targets.  Anything but an int (a float or a bool) is not prime.
     """
     if type(n) is not int or n < 2:
         return False
@@ -55,11 +58,12 @@ def is_probable_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    bases = _MR_BASES
     for bound, count in _MR_PREFIXES:
         if n < bound:
             bases = _MR_BASES[:count]
             break
+    else:
+        return False
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -89,7 +93,7 @@ def trim_poly(coeffs: list[int]) -> list[int]:
 class PrimeField:
     """Arithmetic over GF(modulus) for a prime modulus.
 
-    The modulus is validated (probabilistic primality) at construction and
+    The modulus is proven prime (is_probable_prime) at construction and
     is a runtime parameter everywhere; it is never baked into share data
     implicitly.  All methods are pure, so instances are safe to share
     between threads.
@@ -99,7 +103,9 @@ class PrimeField:
 
     def __init__(self, modulus: int):
         if not is_probable_prime(modulus):
-            raise DomainError(f"modulus must be prime, got {modulus}")
+            raise DomainError(
+                f"modulus must be prime and below {_MR_PREFIXES[-1][0]}, got {modulus}"
+            )
         self.modulus = modulus
 
     def __repr__(self) -> str:

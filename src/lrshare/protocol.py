@@ -201,13 +201,9 @@ def _draw_holder(
 _PLACEMENT_ATTEMPTS = 100
 
 
-def _place_all(
-    state: SystemState,
-    external: dict[int, Share],
-    rng: random.Random,
-    placement: str,
-):
-    """Assign every group's external sub-share in one placement round.
+def _place_all(n: int, m: int, placement: str, rng: random.Random) -> dict[int, int]:
+    """{group id: holder id}: the node drawn to host each group's external
+    sub-share, the same map the compromise analyses return as holders.
 
     Groups are placed in id order, each on a node drawn uniformly from
     those outside its barred groups.  A group always bars itself.  Under
@@ -217,12 +213,12 @@ def _place_all(
     members; these bars are kept per host group as the round goes.
 
     A sequential anti-reciprocal round can dead-end (earlier groups may bar
-    every candidate of a later one), so the round is staged and redrawn
-    until consistent; the rng stream continues across attempts, keeping the
+    every candidate of a later one), so the round is redrawn until
+    consistent; the rng stream continues across attempts, keeping the
     result a pure function of the seed.
     """
     anti_reciprocal = placement == PLACEMENT_ANTI_RECIPROCAL
-    group_ids, gamma = range(1, state.m + 1), state.gamma
+    group_ids, gamma = range(1, m + 1), n // m
     for _ in range(_PLACEMENT_ATTEMPTS):
         bars = {g: {g} for g in group_ids}  # barred groups, per group
         if placement == PLACEMENT_RECIPROCAL:
@@ -230,14 +226,12 @@ def _place_all(
         holders: dict[int, int] = {}
         try:
             for g in group_ids:
-                holders[g] = _draw_holder(g, bars[g], state.n, gamma, rng)
+                holders[g] = _draw_holder(g, bars[g], n, gamma, rng)
                 if anti_reciprocal:
                     bars[grouping.group_of(holders[g], gamma)].add(g)
         except PlacementError:  # with m >= LEAST_GROUPS, anti-reciprocal only
             continue
-        for g, holder_id in holders.items():
-            state.nodes[holder_id].hosted.append((state.digest(g), external[g]))
-        return
+        return holders
     raise PlacementError(
         f"no admissible placement found in {_PLACEMENT_ATTEMPTS} rounds"
     )
@@ -279,13 +273,14 @@ def system_setup(
     modulus: int = DEFAULT_MODULUS,
     placement: str = PLACEMENT_RANDOM,
 ) -> SystemState:
-    """Build a complete system: global split, per-group redundancy, placement.
+    """Build a complete system: global split, placement, per-group redundancy.
 
-    Per group one fresh point on the repairing polynomial is drawn as the
-    weak redundancy and evaluated from the member shares; its value is
-    second-shared (gamma, gamma+1), the member sub-shares are handed out,
-    and the external one is placed per the placement mode.  No coefficient
-    list is built, so the strong redundancy never exists.
+    The {group: holder} placement is drawn first.  Then one loop over the
+    groups draws each weak redundancy, a fresh point on the repairing
+    polynomial evaluated from the member shares, second-shares its value
+    (gamma, gamma+1), hands out the member sub-shares and appends the
+    external one to its holder.  No coefficient list is built, so the
+    strong redundancy never exists.
 
     placement='none' skips all redundancy (bare threshold fixture);
     'reciprocal' forces groups 1 and 2 to host each other's sub-share, the
@@ -311,26 +306,21 @@ def system_setup(
         i: NodeStore(primary=shares[i - 1], subshare=None, hosted=[])
         for i in range(1, n + 1)
     }
+    state = SystemState(field, k, n, m, placement, hw_ids, [None] * m, nodes)
 
-    x_lambda: list[int | None] = [None] * m
-    external: dict[int, Share] = {}
     if placement != PLACEMENT_NONE:
-        for g in range(1, m + 1):
+        holders = _place_all(n, m, placement, derive_rng(seed, "placement"))
+        for g, holder_id in holders.items():
             block = grouping.members(g, gamma)
             member_shares = [shares[mid - 1] for mid in block]
             weak = grouping.make_weak_redundancy(
                 field, member_shares, derive_rng(seed, f"lambda:{g}")
             )
             sss = grouping.setup_sss(field, weak.y, gamma, derive_rng(seed, f"sss:{g}"))
-            for idx, member in enumerate(block):
-                nodes[member].subshare = sss[idx]
-            external[g] = sss[-1]
-            x_lambda[g - 1] = weak.x
-
-    state = SystemState(field, k, n, m, placement, hw_ids, x_lambda, nodes)
-
-    if placement != PLACEMENT_NONE:
-        _place_all(state, external, derive_rng(seed, "placement"), placement)
+            for member, sub in zip(block, sss):
+                nodes[member].subshare = sub
+            nodes[holder_id].hosted.append((state.digest(g), sss[-1]))
+            state.x_lambda[g - 1] = weak.x
     return state
 
 

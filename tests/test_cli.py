@@ -19,6 +19,8 @@ from lrshare.field import DEFAULT_MODULUS as P, PrimeField
 from tests.test_threat import ReferenceCounter, state_holders
 
 TOY_FLAGS = ["--k", "8", "--n", "12", "--m", "3", "--secret", "42", "--seed", "7"]
+# 399165290221 * 798330580441 passes all twelve Miller-Rabin bases
+TWELVE_BASE_PSEUDOPRIME = 318665857834031151167461
 
 
 def run(capsys, *args, state_dir=None):
@@ -96,7 +98,9 @@ class TestSetup:
         )
         assert (code, out) == (0, secret + "\n")
 
-    @pytest.mark.parametrize("modulus", ["4", "1000000", str(2**31)])
+    @pytest.mark.parametrize(
+        "modulus", ["4", "1000000", str(2**31), str(TWELVE_BASE_PSEUDOPRIME)]
+    )
     def test_non_prime_modulus_exits_two(self, state_dir, capsys, modulus):
         # the secret is below every modulus, so the modulus itself is refused
         before = read_tree(state_dir)
@@ -545,7 +549,7 @@ class TestCorruptState:
         assert err.startswith("io-error:")
         assert str(path) in err
 
-    @pytest.mark.parametrize("modulus", [4, 2**31, 13.0])
+    @pytest.mark.parametrize("modulus", [4, 2**31, 13.0, TWELVE_BASE_PSEUDOPRIME])
     def test_modulus_not_prime_exits_three(self, state_dir, capsys, modulus):
         edit_registry(state_dir, lambda raw: raw.update(modulus=modulus))
         code, out, err = self.recover_all(capsys, state_dir)

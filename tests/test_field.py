@@ -96,7 +96,8 @@ def twelve_base_prime(n):
 
 
 # The least strong pseudoprime to each prefix of the bases, the length of
-# the longest prefix it passes, and its factors.
+# the longest prefix it passes, and its factors.  The last passes all twelve,
+# so nothing from it on is accepted.
 STRONG_PSEUDOPRIMES = (
     (2047, 1, (23, 89)),
     (1373653, 2, (829, 1657)),
@@ -106,7 +107,9 @@ STRONG_PSEUDOPRIMES = (
     (3474749660383, 6, (1303, 16927, 157543)),
     (341550071728321, 8, (10670053, 32010157)),
     (3825123056546413051, 9, (149491, 747451, 34233211)),
+    (318665857834031151167461, 12, (399165290221, 798330580441)),
 )
+TWELVE_BASE_BOUND = STRONG_PSEUDOPRIMES[-1][0]
 
 
 class TestPrimality:
@@ -134,7 +137,7 @@ class TestPrimality:
             cases.update(a * b for a, b in zip(primes, primes[1:]))
         primes_seen = 0
         for n in sorted(cases):
-            expected = twelve_base_prime(n)
+            expected = n < TWELVE_BASE_BOUND and twelve_base_prime(n)
             assert is_probable_prime(n) == expected, n
             primes_seen += expected
         assert primes_seen > 2_000
@@ -150,6 +153,16 @@ class TestPrimality:
     def test_composite_modulus_rejected(self):
         with pytest.raises(DomainError):
             PrimeField(15)
+
+    @pytest.mark.parametrize(
+        "modulus", [TWELVE_BASE_BOUND, 2**89 - 1], ids=["pseudoprime", "prime"]
+    )
+    def test_modulus_at_or_above_the_twelve_base_bound_rejected(self, modulus):
+        # a composite and a prime that both pass all twelve bases: neither
+        # is a field, and the error names the bound
+        assert twelve_base_prime(modulus)
+        with pytest.raises(DomainError, match=f"below {TWELVE_BASE_BOUND}, got {modulus}"):
+            PrimeField(modulus)
 
     def test_default_modulus_is_prime(self):
         assert is_probable_prime(DEFAULT_MODULUS)

@@ -46,6 +46,7 @@ from lrshare.protocol import (
     system_setup,
 )
 from lrshare.seeds import derive_rng
+from lrshare.threat import admissible_placements, min_compromise_search
 from tests.conftest import TOY, storage_accounting, system_shapes
 
 
@@ -402,6 +403,59 @@ class TestPlacement:
                 n, m, placement, derive_rng(seed, "placement")
             )
             assert {g: holder_of(state, g) for g in range(1, m + 1)} == expected
+            drawn = protocol._place_all(n, m, placement, derive_rng(seed, "placement"))
+            assert drawn == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(system_shapes(max_n=24).filter(lambda s: s[3] != protocol.PLACEMENT_NONE))
+    def test_the_draw_is_the_holder_map_of_the_analyses(self, shape):
+        """_place_all, with no setup run, is the reference's map; under
+        anti-reciprocal it is one of the admissible placements; and it is
+        the holder map the search finds by scanning a saved and reloaded
+        state's stores."""
+        k, n, m, placement, seed = shape
+        holders = protocol._place_all(n, m, placement, derive_rng(seed, "placement"))
+        assert holders == reference_placement(
+            n, m, placement, derive_rng(seed, "placement")
+        )
+        state = system_setup(k, n, m, secret=1, seed=seed, placement=placement)
+        if placement == PLACEMENT_ANTI_RECIPROCAL and (n - n // m) ** m <= 5000:
+            assert holders in admissible_placements(state, anti_reciprocal=True)
+        with tempfile.TemporaryDirectory() as directory:
+            save_state(state, directory)
+            assert min_compromise_search(load_state(directory)).holders == holders
+
+    @pytest.mark.parametrize(
+        "placement", [PLACEMENT_RANDOM, PLACEMENT_ANTI_RECIPROCAL, PLACEMENT_RECIPROCAL]
+    )
+    def test_placement_gives_up_after_its_rounds(self, monkeypatch, placement):
+        # every round dead-ends at the last group, after real draws for the others
+        draw, calls = protocol._draw_holder, []
+
+        def dead_end(group_id, barred, n, gamma, rng):
+            calls.append(group_id)
+            if group_id == 3:
+                raise PlacementError(f"no admissible holder for group {group_id}")
+            return draw(group_id, barred, n, gamma, rng)
+
+        monkeypatch.setattr(protocol, "_draw_holder", dead_end)
+        with pytest.raises(PlacementError, match="no admissible placement found in 100"):
+            protocol._place_all(12, 3, placement, derive_rng(7, "placement"))
+        assert calls == [1, 2, 3] * protocol._PLACEMENT_ATTEMPTS
+
+    def test_setup_without_a_placement_exits_four_and_writes_nothing(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        def dead_end(group_id, barred, n, gamma, rng):
+            raise PlacementError(f"no admissible holder for group {group_id}")
+
+        monkeypatch.setattr(protocol, "_draw_holder", dead_end)
+        flags = ["--k", "8", "--n", "12", "--m", "3", "--secret", "42", "--seed", "7"]
+        assert main(["--state-dir", str(tmp_path / "s"), "setup", *flags]) == 4
+        out, err = capsys.readouterr()
+        assert out == "placement: no admissible placement found in 100 rounds\n"
+        assert err == ""
+        assert not (tmp_path / "s" / "registry.json").exists()
 
     @pytest.mark.parametrize(
         "shape, placement",
