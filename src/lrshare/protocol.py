@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 import random
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -64,6 +65,7 @@ LEAST_GROUPS = {
 PLACEMENT_MODES = tuple(LEAST_GROUPS)
 
 _HW_BITS = 48
+_HW_BYTES = _HW_BITS // 8
 
 REGISTRY_FILE = "registry.json"
 NODE_DIR = "nodes"
@@ -118,8 +120,8 @@ class SystemState:
 
     def digest(self, g: int) -> str:
         """Group g's hash identity, from its members' hardware ids."""
-        ids = self.hw_ids
-        return hash_identity(ids[i - 1] for i in grouping.members(g, self.gamma))
+        gamma = self.gamma
+        return hash_identity(self.hw_ids[(g - 1) * gamma : g * gamma])
 
     def group_digests(self) -> dict[str, int]:
         return {self.digest(g): g for g in range(1, self.m + 1)}
@@ -162,21 +164,56 @@ class TraceEvent:
         return f"{self.seq:03d} | {self.kind} | {self.sender} | {to} | {self.summary()}"
 
 
+def _pack_hw_ids(hw_ids: list[int]) -> bytearray:
+    """The one encoding of hardware ids: each as 6 bytes big-endian,
+    concatenated, as the registry stores them (in hex) and hash_identity
+    hashes them.
+
+    One struct call packs every id into an 8-byte slot, and two strided
+    deletions drop each slot's two high bytes, which must be zero.  An id
+    below 0 or of 2^48 or more raises DomainError naming it.
+    """
+    try:
+        slots = bytearray(struct.pack(f">{len(hw_ids)}Q", *hw_ids))
+    except struct.error:  # below 0, 2^64 or above, or not an integer
+        pass
+    else:
+        high = slots[0::8] + slots[1::8]
+        if high.count(0) == len(high):
+            del slots[0::8]
+            del slots[0::7]
+            return slots
+    bad = next(
+        hw for hw in hw_ids if not (isinstance(hw, int) and 0 <= hw < 1 << _HW_BITS)
+    )
+    raise DomainError(f"hardware id {bad!r} does not fit in {_HW_BITS} bits")
+
+
+def _unpack_hw_ids(data: bytes) -> list[int]:
+    """The ids _pack_hw_ids encoded as data: six strided copies place the
+    6-byte ids in zeroed 8-byte slots, and one struct call reads them.
+    A length that is no multiple of 6 raises ValueError."""
+    count, rest = divmod(len(data), _HW_BYTES)
+    if rest:
+        raise ValueError(f"{len(data)} bytes hold no whole number of hardware ids")
+    slots = bytearray(8 * count)
+    for j in range(_HW_BYTES):
+        slots[8 - _HW_BYTES + j :: 8] = data[j::_HW_BYTES]
+    return list(struct.unpack(f">{count}Q", slots))
+
+
 def hash_identity(hw_ids: Iterable[int]) -> str:
     """256-bit group identity from its members' hardware ids.
 
-    Canonical encoding: ids sorted ascending, each as 6 bytes big-endian,
-    concatenated, SHA-256.  Order-insensitive by construction; lowercase
-    hex so registries compare bytewise.
+    Canonical encoding: ids sorted ascending, packed by _pack_hw_ids (6
+    bytes big-endian each, the registry's encoding), SHA-256.
+    Order-insensitive by construction; lowercase hex so registries
+    compare bytewise.
     """
     ids = sorted(hw_ids)
     if not ids:
         raise DomainError("at least one hardware id required")
-    for hw in (ids[0], ids[-1]):  # sorted, so the ends bound every id
-        if not 0 <= hw < (1 << _HW_BITS):
-            raise DomainError(f"hardware id {hw} does not fit in {_HW_BITS} bits")
-    data = b"".join([hw.to_bytes(_HW_BITS // 8, "big") for hw in ids])
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(_pack_hw_ids(ids)).hexdigest()
 
 
 def _draw_holder(
@@ -486,14 +523,16 @@ def registry_dict(state: SystemState) -> dict:
     """The one statement of the registry format: the public data, which
     is only what position cannot give, and no y values, sub-shares or
     holder locations.  The hardware ids are one string of 12 lowercase
-    hex digits per participant, each x_lambda a decimal string or None."""
+    hex digits per participant: _pack_hw_ids' bytes, which hash_identity
+    also hashes, in hex.  Each x_lambda is a decimal string or None.  An id
+    outside [0, 2^48) raises DomainError."""
     return {
         "modulus": state.field.modulus,
         "k": state.k,
         "n": state.n,
         "m": state.m,
         "placement_mode": state.placement_mode,
-        "hw_ids": "".join("%012x" % hw for hw in state.hw_ids),
+        "hw_ids": _pack_hw_ids(state.hw_ids).hex(),
         "x_lambda": [None if x is None else str(x) for x in state.x_lambda],
     }
 
@@ -626,6 +665,8 @@ def save_state(
             os.replace(tmp, path)
         return
     state.require_every_store("a full save")
+    # rendered first: a registry_dict that raises leaves the directory as it was
+    registry_data = _dump(registry_dict(state)).encode()
     os.makedirs(node_dir, exist_ok=True)
     registry = os.path.join(root, REGISTRY_FILE)
     try:
@@ -643,7 +684,7 @@ def save_state(
             _write_file(name, f"{node_dir}/{name}", data, dir_fd)
     finally:
         os.close(dir_fd)
-    _write_file(registry, registry, _dump(registry_dict(state)).encode())
+    _write_file(registry, registry, registry_data)
 
 
 _ABSENT = object()
@@ -720,10 +761,7 @@ def load_state(
             raise StateFileError(f"{path}: {exc}") from exc
         # bytes carry no sign, so every id fits in _HW_BITS; the rewrite
         # refuses any spelling but 12 lowercase hex digits per id
-        raw_ids, size = bytes.fromhex(hw_text), _HW_BITS // 8
-        hw_ids = [
-            int.from_bytes(raw_ids[i : i + size], "big") for i in range(0, n * size, size)
-        ]
+        hw_ids = _unpack_hw_ids(bytes.fromhex(hw_text))
         # m nulls under 'none', m decimal strings otherwise: int(None) raises,
         # and a string under 'none' is written back as null
         x_lambda = [None] * m if mode == PLACEMENT_NONE else [int(x) for x in x_text]

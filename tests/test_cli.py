@@ -958,8 +958,9 @@ class TestLayoutFromPosition:
         self.assert_refused(capsys, directory, 3)
 
 
-# Spellings int(text, 16) reads but registry_dict never writes; the last
-# three are other numbers: a sign, too few digits and too many.
+# Spellings int(text, 16) reads but registry_dict never writes; then three
+# other numbers: a sign, too few digits and too many; and last, two digits
+# that bytes.fromhex skips as spaces, which leave 5 bytes for the id.
 NON_CANONICAL_HW_ID = {
     "leading-space": lambda text: " " + text,
     "plus-sign": lambda text: "+" + text,
@@ -970,6 +971,7 @@ NON_CANONICAL_HW_ID = {
     "minus-sign": lambda text: "-" + text[1:],
     "11-digits": lambda text: text[1:],
     "13-digits": lambda text: text + "0",
+    "two-spaces": lambda text: text[:4] + "  " + text[6:],
 }
 
 

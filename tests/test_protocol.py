@@ -10,7 +10,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lrshare import protocol
@@ -154,6 +154,11 @@ GOLDEN_JSON_STDOUT_DIGESTS = {
 }
 
 
+# state_digest of the files save_state writes for k=128, n=1024, m=256,
+# random placement, seed 7 and secret 42 (the benchmark's churn-narrow size).
+GOLDEN_CHURN_NARROW_DIGEST = "168bf38a83a5b09132bcd334d71c81c49936652e982c282d75b8294956736df9"
+
+
 def assert_console_digests(capsys, options, golden):
     """Run each golden system's commands with options in the working
     directory and compare the SHA-256 of their stdout with golden's."""
@@ -200,8 +205,40 @@ class TestHashIdentity:
             hash_identity([])
 
     def test_oversized_id_rejected(self):
-        with pytest.raises(DomainError):
-            hash_identity([1 << 48])
+        # 2^64 and -1 fit no struct slot; 2^48 fits one but not 6 bytes
+        for hw in (1 << 48, -1, 1 << 64):
+            with pytest.raises(DomainError, match=f"hardware id {hw} does not fit"):
+                hash_identity([3, hw])
+
+
+# The encoders the packing helpers replaced, kept as the reference: the
+# registry's per-id hex join, the loader's per-id slices and the hash's
+# per-id byte join.
+def reference_registry_text(hw_ids):
+    return "".join("%012x" % hw for hw in hw_ids)
+
+
+def reference_read(data, n):
+    return [int.from_bytes(data[i : i + 6], "big") for i in range(0, n * 6, 6)]
+
+
+def reference_hash_bytes(hw_ids):
+    return b"".join([hw.to_bytes(6, "big") for hw in sorted(hw_ids)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, (1 << 48) - 1), min_size=1, max_size=80))
+@example([0])
+@example([(1 << 48) - 1])
+@example([0, (1 << 48) - 1, 1 << 47, 0xFF, 0xFF00])
+def test_packing_matches_the_reference_encoders(hw_ids):
+    packed = protocol._pack_hw_ids(hw_ids)
+    text = reference_registry_text(hw_ids)
+    assert packed.hex() == text
+    data = bytes.fromhex(text)
+    assert protocol._unpack_hw_ids(data) == reference_read(data, len(hw_ids)) == hw_ids
+    expected = hashlib.sha256(reference_hash_bytes(hw_ids)).hexdigest()
+    assert hash_identity(hw_ids) == expected
 
 
 class TestSetup:
@@ -262,6 +299,12 @@ class TestSetup:
             save_state(state, directory)
             digest = GOLDEN_NODE_DIGESTS[(k, n, m), placement]
             assert state_digest(directory, "nodes/*.json") == digest, (k, n, m, placement)
+
+    def test_saved_bytes_match_golden_digest_at_churn_narrow_size(self, tmp_path):
+        # the benchmark's k=128, n=1024, m=256: 1024 hardware ids, 256 groups
+        state = system_setup(128, 1024, 256, secret=42, seed=7, placement="random")
+        save_state(state, tmp_path)
+        assert state_digest(tmp_path) == GOLDEN_CHURN_NARROW_DIGEST
 
     def test_console_output_matches_golden_digests(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -913,6 +956,20 @@ class TestPersistence:
         with pytest.raises(ConfigurationError, match="partial load is read-only"):
             save_state(partial, tmp_path)
         assert state_digest(tmp_path) == before
+
+    @pytest.mark.parametrize("hw", [1 << 48, -5, 1 << 64])
+    def test_unwritable_hw_id_refused_before_any_write(self, toy_system, tmp_path, hw):
+        # written as 13 hex digits or with a sign, such an id would give a
+        # registry that load_state refuses
+        save_state(toy_system, tmp_path)
+        before = state_digest(tmp_path)
+        toy_system.hw_ids[4] = hw
+        for directory in (tmp_path, tmp_path / "new"):
+            with pytest.raises(DomainError, match=f"hardware id {hw} does not fit"):
+                save_state(toy_system, directory)
+        assert state_digest(tmp_path) == before
+        assert not (tmp_path / "new").exists()
+        assert recover_secret(load_state(tmp_path), range(1, 9)) == 42
 
     def test_unwritable_node_file_is_named_in_full(self, toy_system, tmp_path):
         # the node files are opened by name under the directory's descriptor
