@@ -26,7 +26,6 @@ from .field import DEFAULT_MODULUS, PrimeField, is_probable_prime
 from .groups import (
     make_weak_redundancy,
     members,
-    partition,
     repair_share,
     restore_subshare,
     setup_sss,

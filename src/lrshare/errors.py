@@ -41,7 +41,7 @@ class AuthorizationError(SharingError):
 
 
 class PlacementError(SharingError):
-    """No admissible holder exists for an external sub-share."""
+    """The placement rounds ran out before an admissible holder map was drawn."""
 
 
 class HolderLostError(SharingError):

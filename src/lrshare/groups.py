@@ -35,23 +35,6 @@ from .field import PrimeField
 from .shamir import Share, _checked_sorted, reconstruct_polynomial, split  # noqa: F401
 
 
-def partition(n: int, m: int) -> list[range]:
-    """Split participants 1..n into m equal groups of consecutive ids: the
-    list of members(g, gamma) for g = 1..m.
-
-    Equal group sizes are required (n = m * gamma); anything else is a
-    configuration error rather than a silently uneven split.
-    """
-    if m < 1:
-        raise ConfigurationError(f"need at least one group, got m={m}")
-    if n % m != 0:
-        raise ConfigurationError(f"m={m} does not divide n={n}")
-    gamma = n // m
-    if gamma < 2:
-        raise ConfigurationError(f"group size must be >= 2, got {gamma}")
-    return [members(g, gamma) for g in range(1, m + 1)]
-
-
 def members(group_id: int, gamma: int) -> range:
     """The ids of group group_id's members, in the order that gives the
     member at 1-based position i the sub-share at x = i."""
@@ -59,7 +42,7 @@ def members(group_id: int, gamma: int) -> range:
 
 
 def group_of(node_id: int, gamma: int) -> int:
-    """The id of the group that partition puts participant node_id in."""
+    """The id of the group whose members() holds participant node_id."""
     return (node_id - 1) // gamma + 1
 
 

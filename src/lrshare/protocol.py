@@ -216,25 +216,6 @@ def hash_identity(hw_ids: Iterable[int]) -> str:
     return hashlib.sha256(_pack_hw_ids(ids)).hexdigest()
 
 
-def _draw_holder(
-    group_id: int, barred: set[int], n: int, gamma: int, rng: random.Random
-) -> int:
-    """Uniform draw from nodes 1..n outside the barred groups' members.
-
-    The draw indexes the ascending list of admissible ids without building
-    it: rng.randrange(count) is the index, and each barred block of gamma
-    ids at or below the id found so far pushes it gamma ids on.
-    """
-    count = n - gamma * len(barred)
-    if count <= 0:
-        raise PlacementError(f"no admissible holder for group {group_id}")
-    node_id = rng.randrange(count) + 1
-    for g in sorted(barred):
-        if (g - 1) * gamma < node_id:  # block g starts at or below node_id
-            node_id += gamma
-    return node_id
-
-
 _PLACEMENT_ATTEMPTS = 100
 
 
@@ -242,33 +223,28 @@ def _place_all(n: int, m: int, placement: str, rng: random.Random) -> dict[int, 
     """{group id: holder id}: the node drawn to host each group's external
     sub-share, the same map the compromise analyses return as holders.
 
-    Groups are placed in id order, each on a node drawn uniformly from
-    those outside its barred groups.  A group always bars itself.  Under
-    'reciprocal', group 1 also bars every group but 2, and group 2 every
-    group but 1, so the two host each other.  Under 'anti-reciprocal', a
-    group also bars every group whose sub-share already sits on one of its
-    members; these bars are kept per host group as the round goes.
-
-    A sequential anti-reciprocal round can dead-end (earlier groups may bar
-    every candidate of a later one), so the round is redrawn until
-    consistent; the rng stream continues across attempts, keeping the
-    result a pure function of the seed.
+    In group id order, each group's holder is drawn uniformly from the
+    nodes outside the group; under 'reciprocal', groups 1 and 2 draw from
+    each other's members instead, and under 'anti-reciprocal' the whole
+    map is drawn again while two groups host each other's sub-share, which
+    keeps it uniform over the admissible maps.  The rng stream continues
+    across rounds, keeping the result a pure function of the seed.
     """
-    anti_reciprocal = placement == PLACEMENT_ANTI_RECIPROCAL
-    group_ids, gamma = range(1, m + 1), n // m
+    gamma = n // m
     for _ in range(_PLACEMENT_ATTEMPTS):
-        bars = {g: {g} for g in group_ids}  # barred groups, per group
-        if placement == PLACEMENT_RECIPROCAL:
-            bars[1], bars[2] = set(group_ids) - {2}, set(group_ids) - {1}
-        holders: dict[int, int] = {}
-        try:
-            for g in group_ids:
-                holders[g] = _draw_holder(g, bars[g], n, gamma, rng)
-                if anti_reciprocal:
-                    bars[grouping.group_of(holders[g], gamma)].add(g)
-        except PlacementError:  # with m >= LEAST_GROUPS, anti-reciprocal only
-            continue
-        return holders
+        holders = {}
+        for g in range(1, m + 1):
+            if g <= 2 and placement == PLACEMENT_RECIPROCAL:
+                holders[g] = grouping.members(3 - g, gamma)[rng.randrange(gamma)]
+            else:
+                node_id = rng.randrange(n - gamma) + 1
+                # past the group's own block, skip its gamma members
+                holders[g] = node_id + gamma if node_id > (g - 1) * gamma else node_id
+        if placement != PLACEMENT_ANTI_RECIPROCAL or not any(
+            grouping.group_of(holders[grouping.group_of(h, gamma)], gamma) == g
+            for g, h in holders.items()
+        ):
+            return holders
     raise PlacementError(
         f"no admissible placement found in {_PLACEMENT_ATTEMPTS} rounds"
     )
@@ -277,8 +253,9 @@ def _place_all(n: int, m: int, placement: str, rng: random.Random) -> dict[int, 
 def check_parameters(k, n, m, modulus, placement: str) -> PrimeField:
     """The field of a buildable system, by the one rule setup and load_state
     apply: integers (not booleans) 1 <= k <= n, a known placement, a prime
-    modulus above n + m + 2, partition(n, m)'s equal groups of two or more,
-    and at least LEAST_GROUPS[placement] groups.  Else ConfigurationError."""
+    modulus above n + m + 2, m >= 1 groups that split n into equal blocks
+    of gamma = n/m >= 2 consecutive ids, and at least LEAST_GROUPS[placement]
+    groups.  Else ConfigurationError."""
     if any(type(v) is not int for v in (k, n, m)) or not 1 <= k <= n:
         raise ConfigurationError(
             f"need integers k, n, m with 1 <= k <= n, got k={k!r}, n={n!r}, m={m!r}"
@@ -293,7 +270,12 @@ def check_parameters(k, n, m, modulus, placement: str) -> PrimeField:
         raise ConfigurationError(
             f"modulus {modulus} too small for n={n}, m={m}: need modulus > n + m + 2"
         )
-    grouping.partition(n, m)
+    if m < 1:
+        raise ConfigurationError(f"need at least one group, got m={m}")
+    if n % m != 0:
+        raise ConfigurationError(f"m={m} does not divide n={n}")
+    if n // m < 2:
+        raise ConfigurationError(f"group size must be >= 2, got {n // m}")
     least = LEAST_GROUPS[placement]
     if m < least:
         raise ConfigurationError(f"{placement} placement needs m >= {least}, got m={m}")
@@ -752,7 +734,7 @@ def load_state(
         k, n, m = registry["k"], registry["n"], registry["m"]
         hw_text, x_text = registry["hw_ids"], registry["x_lambda"]
         mode = registry["placement_mode"]
-        # the counts go first: check_parameters' partition(n, m) builds m ranges
+        # the list lengths go first; check_parameters builds nothing per group
         if len(hw_text) != n * _HW_BITS // 4 or len(x_text) != m:
             raise StateFileError(f"{path}: need {n} hw_ids and {m} x_lambda values")
         try:

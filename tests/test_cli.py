@@ -618,7 +618,7 @@ class TestCorruptState:
         assert str(directory / "registry.json") in err
 
     def test_uneven_groups_exit_three(self, state_dir, capsys):
-        # groups are partition(n, m)'s equal blocks, so m must divide n
+        # groups are m equal blocks of consecutive ids, so m must divide n
         def five_groups(raw):
             raw["m"] = 5
             raw["x_lambda"] += raw["x_lambda"][:2]
@@ -893,7 +893,7 @@ class TestRelabelledSubShares:
 
 
 class TestLayoutFromPosition:
-    """The groups are partition(n, m)'s blocks of consecutive ids: the
+    """The groups are members(g, n/m)'s blocks of consecutive ids: the
     registry lists no members, so a member moved in it is a hardware id or
     a sub-share x moved.  Member lists moved consistently with the hardware
     ids or the sub-share x used to make repair write a wrong y and recover

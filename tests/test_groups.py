@@ -9,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrshare.errors import ConfigurationError, DomainError, InsufficientPointsError
-from lrshare.field import PrimeField, is_probable_prime
+from lrshare.field import DEFAULT_MODULUS, PrimeField, is_probable_prime
 from lrshare.groups import (
     build_repair_function,
     group_of,
     make_weak_redundancy,
     members,
-    partition,
     repair_share,
     restore_subshare,
     setup_sss,
 )
+from lrshare.protocol import check_parameters
 from lrshare.shamir import Share, recover, split
 
 # random.Random(2) draws x=5 first for GF(13) with {0,1,2,3,4} excluded
@@ -30,9 +30,15 @@ CUBIC = [1, 2, 3, 4]
 CUBIC_POINTS = [Share(1, 10), Share(2, 10), Share(3, 12), Share(4, 1)]
 
 
+def layout(n, m):
+    """members(g, gamma) for g = 1..m, once check_parameters accepts n and m."""
+    check_parameters(2, n, m, DEFAULT_MODULUS, "none")
+    return [members(g, n // m) for g in range(1, m + 1)]
+
+
 class TestPartition:
     def test_toy_layout(self):
-        blocks = partition(12, 3)
+        blocks = layout(12, 3)
         assert [tuple(block) for block in blocks] == [
             (1, 2, 3, 4),
             (5, 6, 7, 8),
@@ -42,31 +48,29 @@ class TestPartition:
 
     @pytest.mark.parametrize("n, m", [(12, 3), (4, 1), (256, 4), (1024, 256)])
     def test_group_of_inverts_partition(self, n, m):
-        for g, block in enumerate(partition(n, m), 1):
-            assert block == members(g, n // m)
+        for g, block in enumerate(layout(n, m), 1):
             for member in block:
                 assert group_of(member, n // m) == g
 
     def test_single_group(self):
-        (block,) = partition(4, 1)
+        (block,) = layout(4, 1)
         assert tuple(block) == (1, 2, 3, 4)
 
     def test_non_divisible_rejected(self):
-        with pytest.raises(ConfigurationError):
-            partition(10, 3)
+        with pytest.raises(ConfigurationError, match="m=3 does not divide n=10"):
+            layout(10, 3)
 
     def test_tiny_groups_rejected(self):
-        with pytest.raises(ConfigurationError):
-            partition(6, 6)
+        with pytest.raises(ConfigurationError, match="group size must be >= 2, got 1"):
+            layout(6, 6)
 
     def test_no_groups_rejected(self):
         for m in (0, -2):
             with pytest.raises(ConfigurationError, match=f"at least one group, got m={m}"):
-                partition(4, m)
+                layout(4, m)
 
     def test_groups_are_disjoint_and_cover(self):
-        blocks = partition(20, 5)
-        seen = [m for block in blocks for m in block]
+        seen = [m for block in layout(20, 5) for m in block]
         assert sorted(seen) == list(range(1, 21))
         assert len(set(seen)) == 20
 

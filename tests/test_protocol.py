@@ -28,7 +28,7 @@ from lrshare.errors import (
     StateFileError,
 )
 from lrshare.field import DEFAULT_MODULUS, PrimeField
-from lrshare.groups import group_of, members
+from lrshare.groups import members
 from lrshare.protocol import (
     PLACEMENT_ANTI_RECIPROCAL,
     PLACEMENT_MODES,
@@ -51,40 +51,45 @@ from tests.conftest import TOY, storage_accounting, system_shapes
 
 
 def reference_placement(n, m, placement, rng):
-    """{group id: holder id} by the list-based placement that
-    protocol._place_all replaced: under 'reciprocal', groups 1 and 2 are
-    staged first with draws from each other's members; every other group
-    indexes the ascending list of its admissible nodes, which under
-    'anti-reciprocal' a rescan of the placed groups narrows."""
+    """{group id: holder id} by a list-based draw of the rule
+    protocol._place_all states: in id order, each group picks uniformly
+    from the list of nodes outside it (under 'reciprocal', groups 1 and 2
+    from each other's members), and under 'anti-reciprocal' whole rounds
+    are drawn until no two groups host each other's sub-share."""
     gamma = n // m
-    anti_reciprocal = placement == PLACEMENT_ANTI_RECIPROCAL
     for _ in range(protocol._PLACEMENT_ATTEMPTS):
         staged = {}
-        if placement == PLACEMENT_RECIPROCAL:
-            for group_id, other_id in ((1, 2), (2, 1)):
-                others = members(other_id, gamma)
-                staged[group_id] = others[rng.randrange(len(others))]
-        try:
-            for group_id in sorted(set(range(1, m + 1)) - staged.keys()):
+        for group_id in range(1, m + 1):
+            if placement == PLACEMENT_RECIPROCAL and group_id <= 2:
+                candidates = list(members(3 - group_id, gamma))
+            else:
                 own = members(group_id, gamma)
                 candidates = [i for i in range(1, n + 1) if i not in own]
-                if anti_reciprocal:
-                    barred = set()
-                    for other_id, holder in staged.items():
-                        if other_id != group_id and holder in own:
-                            barred.update(members(other_id, gamma))
-                    candidates = [c for c in candidates if c not in barred]
-                if not candidates:
-                    raise PlacementError(f"no admissible holder for group {group_id}")
-                staged[group_id] = candidates[rng.randrange(len(candidates))]
-        except PlacementError:
-            if anti_reciprocal:
-                continue
-            raise
-        return staged
+            if not candidates:
+                raise PlacementError(f"no admissible holder for group {group_id}")
+            staged[group_id] = candidates[rng.randrange(len(candidates))]
+        mutual = any(
+            staged[g] in members(h, gamma) and staged[h] in members(g, gamma)
+            for g, h in combinations(staged, 2)
+        )
+        if placement != PLACEMENT_ANTI_RECIPROCAL or not mutual:
+            return staged
     raise PlacementError(
         f"no admissible placement found in {protocol._PLACEMENT_ATTEMPTS} rounds"
     )
+
+
+class ZeroDraws:
+    """An rng stub whose every randrange returns 0.  At n=12, m=3 it puts
+    group 1's sub-share on node 5 and group 2's on node 1, so every
+    anti-reciprocal round holds a mutual pair."""
+
+    def __init__(self):
+        self.stops = []
+
+    def randrange(self, stop):
+        self.stops.append(stop)
+        return 0
 
 
 def holder_of(state, group_id):
@@ -101,11 +106,11 @@ def holder_of(state, group_id):
 # format fails here.
 GOLDEN_STATE_DIGESTS = {
     ((8, 12, 3), "random"): "b8c4d8ebf2b154435a8bcfce5df6e72b70fba76937d78b27b39982b9888ffdaf",
-    ((8, 12, 3), "anti-reciprocal"): "8c923fd035d4219682b1e8bd085f2c3a5cf8d475137d835d64399c4acf8ef1c5",
+    ((8, 12, 3), "anti-reciprocal"): "4af7deb15925e763c19e59bc39ebbfc8e4273808355dd9e94c79891fdc0389da",
     ((8, 12, 3), "reciprocal"): "1cafcacb9754f6976fc9997c158cff704df80bc0ddd3be4e53c71dca18ecddbb",
     ((8, 12, 3), "none"): "40dd8faeb94770b8d0da7415eae89e2891e76011a08b3aa28e7fa9a6f80a9805",
     ((12, 16, 4), "random"): "df2b462de19ca2b41c30ac20625320b1e8d2cb346c7147f4b0f2b4a53758265c",
-    ((12, 16, 4), "anti-reciprocal"): "d69b1f8bd3b39928979247f052ce3e6b781facf276ab652db642fe3f1248e374",
+    ((12, 16, 4), "anti-reciprocal"): "733ec70aeee9330036c5d1fbf05f3ffb0a47bfc7520f00fae37167c5ceaf1154",
     ((12, 16, 4), "reciprocal"): "28b0f5b4ac0462eda318684f0526a8d2e1d3ed48d73ddc647bbc5946e2d7364d",
     ((12, 16, 4), "none"): "5c85fc8ba3c884dcb881b4de4da2a66adb4c0e576fb39f72ba6ec70bcb4e0cc3",
 }
@@ -116,11 +121,11 @@ GOLDEN_STATE_DIGESTS = {
 # change leaves these as they are.
 GOLDEN_NODE_DIGESTS = {
     ((8, 12, 3), "random"): "2b0112fe5e35453208bc3a7bcf553603ac2378830e73c9d0ead58aacd0680686",
-    ((8, 12, 3), "anti-reciprocal"): "adf21f620ca844286c31410d1e31b6e0f40b9df1baa0db999cba73a5833fef7b",
+    ((8, 12, 3), "anti-reciprocal"): "8eb53b8ffc8d5b9400c2609a0c8cdfe4e54e19cf97d1a17b8d4e2c4d083da8b9",
     ((8, 12, 3), "reciprocal"): "ee907193a0134024154f25fdd7ba9f5d4ffb06326f2a34ffcd9b7aae35fcb99c",
     ((8, 12, 3), "none"): "69cb3e941d272c5c9bde265d70b8f357d930ea48d25e855b4c4377ae5e072f4f",
     ((12, 16, 4), "random"): "bb80981f5f34f4a9d63de9f69731241fd7b3587bae0ea17efb1266352daf07d9",
-    ((12, 16, 4), "anti-reciprocal"): "15ab99778518649bd1c48ba5b38608b072051be6dc4eae3de59a7b44f85132d3",
+    ((12, 16, 4), "anti-reciprocal"): "bb80981f5f34f4a9d63de9f69731241fd7b3587bae0ea17efb1266352daf07d9",
     ((12, 16, 4), "reciprocal"): "3ace1f123fbbe6d03b4658e477529be9b0ed427f89fc43195dd7f2f655d165e6",
     ((12, 16, 4), "none"): "91ecf78b5ebe2cba6712289cc11ebd2a7a05a3b7349fca1c40839176c1ac3c47",
 }
@@ -134,7 +139,7 @@ GOLDEN_STDOUT_DIGESTS = {
     ((8, 12, 3), "reciprocal"): "2e604ed981a0e9539de3648f23762423a372b317890a6933e087076a447db962",
     ((8, 12, 3), "none"): "4886826e9afec452388e2a58675bd7cac1e06f652383be36d640ff39672bb6ac",
     ((12, 16, 4), "random"): "8b1212770059adfc590a218561d2115b385e999211092b85ebcd9702d26ee3e6",
-    ((12, 16, 4), "anti-reciprocal"): "901c979ee4260c90ec744988d58f2c546c1a8daceb71acd93014a5b8beb4d759",
+    ((12, 16, 4), "anti-reciprocal"): "d732b5d4c527761a6082af4864a3a482f6da876744affac5ab33f4c48dfe19a0",
     ((12, 16, 4), "reciprocal"): "66e03b165a956abf64a704a654e27fdbd71f47d85dd4385e8342a517873fe49c",
     ((12, 16, 4), "none"): "1a490513b0aac06d080ef47898437f24206a6184908945577ae8163f32e689e6",
 }
@@ -148,7 +153,7 @@ GOLDEN_JSON_STDOUT_DIGESTS = {
     ((8, 12, 3), "reciprocal"): "bf08aa0f2d04a98e96c537a1fca4941cbad7544767c5f2e5d16abea067eb4f59",
     ((8, 12, 3), "none"): "67693250aaee11d205e55f44b3504a6d54905699fe0fea910794a432dce74452",
     ((12, 16, 4), "random"): "69a2219efa8213d38160f5d6a5467a1489cca6fac69d8b8d23db9376b355c8d1",
-    ((12, 16, 4), "anti-reciprocal"): "5788a7b0e4d7449dfca1d1edb6c4830da0d7e28f7b485fbf552396630bfed758",
+    ((12, 16, 4), "anti-reciprocal"): "5ccfcdddba10334ef38311faa08726741cf77843f3d26bd1991871f98903a402",
     ((12, 16, 4), "reciprocal"): "256f5dee3ee5c2be2647d74d95c0538a176dba0dbc4f376b7759b00b6c1a9f80",
     ((12, 16, 4), "none"): "7e088921ee8b233a12b5419f8c43b6716fcaf4f5cb195f05038dacfa89800b68",
 }
@@ -468,36 +473,47 @@ class TestPlacement:
             save_state(state, directory)
             assert min_compromise_search(load_state(directory)).holders == holders
 
-    @pytest.mark.parametrize(
-        "placement", [PLACEMENT_RANDOM, PLACEMENT_ANTI_RECIPROCAL, PLACEMENT_RECIPROCAL]
-    )
-    def test_placement_gives_up_after_its_rounds(self, monkeypatch, placement):
-        # every round dead-ends at the last group, after real draws for the others
-        draw, calls = protocol._draw_holder, []
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    @pytest.mark.parametrize("placement", [PLACEMENT_RANDOM, PLACEMENT_ANTI_RECIPROCAL])
+    def test_the_draw_is_uniform_over_the_admissible_maps(self, placement, n):
+        # 3 groups; 20 000 draws from one fixed stream, 39 or more per map
+        state = system_setup(2, n, 3, secret=1, seed=1, placement=placement)
+        anti_reciprocal = placement == PLACEMENT_ANTI_RECIPROCAL
+        maps = admissible_placements(state, anti_reciprocal=anti_reciprocal)
+        counts = {tuple(holders.values()): 0 for holders in maps}
+        draws, rng = 20_000, random.Random(n)
+        for _ in range(draws):
+            drawn = tuple(protocol._place_all(n, 3, placement, rng).values())
+            assert drawn in counts, drawn
+            counts[drawn] += 1
+        expected, dof = draws / len(counts), len(counts) - 1
+        chi2 = sum((c - expected) ** 2 for c in counts.values()) / expected
+        assert chi2 < dof + 6 * (2 * dof) ** 0.5, (chi2, dof)
 
-        def dead_end(group_id, barred, n, gamma, rng):
-            calls.append(group_id)
-            if group_id == 3:
-                raise PlacementError(f"no admissible holder for group {group_id}")
-            return draw(group_id, barred, n, gamma, rng)
-
-        monkeypatch.setattr(protocol, "_draw_holder", dead_end)
+    def test_placement_gives_up_after_its_rounds(self):
+        # random and reciprocal take the first round, so only anti-reciprocal
+        # can run out; three draws per round, each over the 8 outside nodes
+        rng = ZeroDraws()
         with pytest.raises(PlacementError, match="no admissible placement found in 100"):
-            protocol._place_all(12, 3, placement, derive_rng(7, "placement"))
-        assert calls == [1, 2, 3] * protocol._PLACEMENT_ATTEMPTS
+            protocol._place_all(12, 3, PLACEMENT_ANTI_RECIPROCAL, rng)
+        assert rng.stops == [8, 8, 8] * protocol._PLACEMENT_ATTEMPTS
 
     def test_setup_without_a_placement_exits_four_and_writes_nothing(
         self, monkeypatch, tmp_path, capsys
     ):
-        def dead_end(group_id, barred, n, gamma, rng):
-            raise PlacementError(f"no admissible holder for group {group_id}")
+        rng = ZeroDraws()
 
-        monkeypatch.setattr(protocol, "_draw_holder", dead_end)
+        def placement_stub(seed, label):
+            return rng if label == "placement" else derive_rng(seed, label)
+
+        monkeypatch.setattr(protocol, "derive_rng", placement_stub)
         flags = ["--k", "8", "--n", "12", "--m", "3", "--secret", "42", "--seed", "7"]
-        assert main(["--state-dir", str(tmp_path / "s"), "setup", *flags]) == 4
+        command = ["setup", *flags, "--placement", "anti-reciprocal"]
+        assert main(["--state-dir", str(tmp_path / "s"), *command]) == 4
         out, err = capsys.readouterr()
         assert out == "placement: no admissible placement found in 100 rounds\n"
         assert err == ""
+        assert len(rng.stops) == 3 * protocol._PLACEMENT_ATTEMPTS
         assert not (tmp_path / "s" / "registry.json").exists()
 
     @pytest.mark.parametrize(
@@ -516,22 +532,6 @@ class TestPlacement:
         least = protocol.LEAST_GROUPS[placement]
         with pytest.raises(ConfigurationError, match=f"needs m >= {least}, got m={m}"):
             system_setup(k, n, m, secret=1, seed=1, placement=placement)
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.integers(2, 64), st.integers(1, 64), st.data())
-    def test_block_skipping_draw_indexes_the_sorted_candidates(self, gamma, m, data):
-        barred = data.draw(st.sets(st.integers(1, m)), label="barred")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        n = gamma * m
-        candidates = [i for i in range(1, n + 1) if group_of(i, gamma) not in barred]
-        rng, reference = random.Random(seed), random.Random(seed)
-        if candidates:
-            expected = candidates[reference.randrange(len(candidates))]
-            assert protocol._draw_holder(1, barred, n, gamma, rng) == expected
-        else:
-            with pytest.raises(PlacementError, match="no admissible holder for group 1"):
-                protocol._draw_holder(1, barred, n, gamma, rng)
-        assert rng.getstate() == reference.getstate()
 
     def test_two_group_anti_reciprocal_impossible(self):
         # with m=2 every cross-group placement is mutual by construction
